@@ -251,6 +251,26 @@ def _configure(spec: ExperimentSpec, obj: FiniteSumObjective, w, seed: int) -> R
     return cfg
 
 
+def _run_seed(spec: ExperimentSpec, w, seed: int, samples) -> tuple[str, list[metrics.TelemetryRecord]]:
+    """One seed's summary row and telemetry.
+
+    The objective and the run's iterate history are freed on return, so
+    the next seed does not build its data while this seed's is still held.
+    """
+    obj = build_objective(spec, seed, samples)
+    cfg = _configure(spec, obj, w, seed)
+    started = time.perf_counter()
+    result = run(obj, w, cfg, np.zeros(obj.d), telemetry_stride=spec.telemetry_stride)
+    wall = time.perf_counter() - started
+    final_grad = float(np.linalg.norm(obj.global_grad(result.x_out)))
+    fs = result.final_state
+    summary_row = (
+        f"{seed},{obj.n},{final_grad!r},{fs.ifo_count},"
+        f"{fs.comm_rounds},{fs.comm_rounds_all_calls},{wall:.3f}"
+    )
+    return summary_row, result.telemetry
+
+
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run every seed of the spec; write telemetry_<seed>.csv and summary.csv.
 
@@ -266,18 +286,9 @@ def run_experiment(spec: ExperimentSpec) -> int:
     summary_rows = []
     run_outputs = []
     for seed in spec.seeds:
-        obj = build_objective(spec, seed, samples)
-        cfg = _configure(spec, obj, w, seed)
-        started = time.perf_counter()
-        result = run(obj, w, cfg, np.zeros(obj.d), telemetry_stride=spec.telemetry_stride)
-        wall = time.perf_counter() - started
-        final_grad = float(np.linalg.norm(obj.global_grad(result.x_out)))
-        fs = result.final_state
-        summary_rows.append(
-            f"{seed},{obj.n},{final_grad!r},{fs.ifo_count},"
-            f"{fs.comm_rounds},{fs.comm_rounds_all_calls},{wall:.3f}"
-        )
-        run_outputs.append((seed, result.telemetry))
+        summary_row, telemetry = _run_seed(spec, w, seed, samples)
+        summary_rows.append(summary_row)
+        run_outputs.append((seed, telemetry))
     out_dir.mkdir(parents=True, exist_ok=True)
     for seed, telemetry in run_outputs:
         rows = [metrics.CSV_HEADER] + [metrics.format_csv_row(r) for r in telemetry]

@@ -91,15 +91,7 @@ def lyapunov(state: "AggregateState", obj: FiniteSumObjective, cfg: "RunConfig")
     """f at the mean iterate plus the weighted error and consensus penalties."""
     if cfg.eta <= 0.0:
         raise ValueError("the Lyapunov value is undefined for a zero stepsize")
-    x_bar = state.x.mean(axis=0)
-    u = global_estimation_error(state, obj)
-    v = local_estimation_error(state, obj)
-    c = consensus_error(state, cfg)
-    return (
-        obj.global_value(x_bar)
-        + (cfg.eta / cfg.p) * (u + v)
-        + c / (state.x.shape[0] * cfg.eta)
-    )
+    return record(state, obj, cfg, y_t=state.y_last, k_t=state.k_last).phi_t
 
 
 def record(
@@ -109,7 +101,12 @@ def record(
     y_t: int,
     k_t: int,
 ) -> TelemetryRecord:
-    """Full telemetry row for the given state (shares the exact-gradient pass)."""
+    """Full telemetry row for the given state.
+
+    The single place the Lyapunov potential is written.  One ``grad_rows``
+    pass gives both estimation errors, and one pass at the mean iterate gives
+    f_bar and the gradient norm.
+    """
     m = state.x.shape[0]
     gap = _estimator_gap(state, obj)
     mean_gap = gap.mean(axis=0)
@@ -117,8 +114,8 @@ def record(
     v = float(np.sum(gap * gap)) / m
     c = consensus_error(state, cfg)
     x_bar = state.x.mean(axis=0)
-    f_bar = obj.global_value(x_bar)
-    grad_norm = float(np.linalg.norm(obj.global_grad(x_bar)))
+    f_bar, grad = obj.global_value_and_grad(x_bar)
+    grad_norm = float(np.linalg.norm(grad))
     phi = f_bar + (cfg.eta / cfg.p) * (u + v) + c / (m * cfg.eta) if cfg.eta > 0.0 else float("nan")
     return TelemetryRecord(
         t=state.t,

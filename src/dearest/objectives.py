@@ -2,15 +2,18 @@
 
 An objective is an m x n grid of component functions: agent i holds n
 components and its local function is their average; the global function is
-the average of the local ones.  The optimizer only ever touches component
-gradients (the costed oracle), per-agent batches of them, and full local
-gradients; exact global values/gradients exist for diagnostics.
+the average of the local ones.  The optimizer touches component gradients
+(the costed oracle) in two shapes only: full local gradients, one row per
+agent (``grad_rows``), and the cheap-step paired difference of mini-batch
+means for all agents at once (``paired_batch_diff``).  Exact global values
+and gradients exist for diagnostics.
 
 Two concrete instances:
 
 * ``LogisticNCObjective`` -- binary logistic loss with the bounded nonconvex
-  regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  Features may be dense
-  ndarrays or scipy CSR matrices (one per agent); all evaluation paths are
+  regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  The per-agent features,
+  dense ndarrays or scipy CSR matrices, are stacked once into one (m*n, d)
+  matrix with agent i's rows at offset i*n; all evaluation paths are
   overflow-safe.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests.
@@ -19,6 +22,7 @@ Two concrete instances:
 from __future__ import annotations
 
 import abc
+import math
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +41,9 @@ __all__ = [
 class FiniteSumObjective(abc.ABC):
     """Average of m local functions, each an average of n components.
 
-    Subclasses set ``m``, ``n``, ``d`` and implement the component oracle;
-    the batched/local/global evaluations have generic implementations here
-    and are overridden with vectorized versions where it matters.
+    Subclasses set ``m``, ``n``, ``d`` and implement the component oracle,
+    the full local gradient, the fused paired mini-batch difference and the
+    exact global value and gradient.
     """
 
     m: int
@@ -54,6 +58,23 @@ class FiniteSumObjective(abc.ABC):
     def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         """Gradient of component j on agent i."""
 
+    @abc.abstractmethod
+    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Gradient of agent i's local function (the mean of its n components)."""
+
+    @abc.abstractmethod
+    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        """Paired mini-batch differences for all agents at once, shape (m, d).
+
+        ``idx`` is an (m, b) matrix of component indices.  Row i is the mean,
+        over ``idx[i]`` counted with multiplicity, of grad f_ij(x_new[i]) -
+        grad f_ij(x_old[i]).
+        """
+
+    @abc.abstractmethod
+    def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Exact global value and gradient at x, from one pass over the data."""
+
     @property
     @abc.abstractmethod
     def smoothness(self) -> float:
@@ -64,34 +85,15 @@ class FiniteSumObjective(abc.ABC):
     def value_lower_bound(self) -> float:
         """A lower bound on the global infimum (used to bound f(x0) - f*)."""
 
-    def local_value(self, i: int, x: np.ndarray) -> float:
-        return float(np.mean([self.component_value(i, j, x) for j in range(self.n)]))
-
-    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.d)
-        for j in range(self.n):
-            acc += self.component_grad(i, j, x)
-        return acc / self.n
-
-    def batch_grad_mean(self, i: int, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Mean component gradient over ``indices`` (with multiplicity)."""
-        acc = np.zeros(self.d)
-        for j in indices:
-            acc += self.component_grad(i, int(j), x)
-        return acc / len(indices)
-
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
         """Stack local gradients: row i is grad f_i evaluated at row i of x."""
         return np.stack([self.local_grad(i, x[i]) for i in range(self.m)])
 
     def global_value(self, x: np.ndarray) -> float:
-        return float(np.mean([self.local_value(i, x) for i in range(self.m)]))
+        return self.global_value_and_grad(x)[0]
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.d)
-        for i in range(self.m):
-            acc += self.local_grad(i, x)
-        return acc / self.m
+        return self.global_value_and_grad(x)[1]
 
 
 def _regularizer_value(x: np.ndarray, lam: float) -> float:
@@ -108,6 +110,26 @@ def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
     return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
+def _sparse_view(container: type, shape: tuple[int, int], data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray) -> sp.csr_matrix | sp.csc_matrix:
+    """A compressed sparse matrix over the given arrays, without copying them.
+
+    scipy's constructor (and so ``.T``) copies arrays that view a much larger
+    one, which would duplicate the stacked data block by block.
+    """
+    mat = container(shape, dtype=data.dtype)
+    mat.data, mat.indices, mat.indptr = data, indices, indptr
+    return mat
+
+
+def _agent_dots(f: np.ndarray | sp.csr_matrix, x: np.ndarray, b: int) -> np.ndarray:
+    """Dot product of each row k of f with row k // b of x; f holds m*b rows."""
+    if sp.issparse(f):
+        row = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
+        return np.bincount(row, f.data * x[row // b, f.indices], minlength=f.shape[0])
+    return (f.reshape(x.shape[0], b, -1) @ x[:, :, None]).ravel()
+
+
 class LogisticNCObjective(FiniteSumObjective):
     """Binary logistic loss with a bounded nonconvex regularizer.
 
@@ -115,6 +137,12 @@ class LogisticNCObjective(FiniteSumObjective):
     x_k^2/(1 + x_k^2).  Both terms are nonnegative, so the global infimum is
     >= 0.  Features are per-agent (n, d) arrays, dense or CSR; labels are
     per-agent vectors with entries exactly +1 or -1.
+
+    The shards are stacked once, at construction: into one CSR matrix if any
+    of them is sparse, otherwise into one dense (m*n, d) array, and the
+    labels into one vector; agent i's rows start at i*n.  Only the stacked
+    copy is kept.  ``features`` and ``labels`` are per-agent row blocks that
+    share its memory.
     """
 
     def __init__(
@@ -125,21 +153,52 @@ class LogisticNCObjective(FiniteSumObjective):
     ) -> None:
         if len(features) == 0 or len(features) != len(labels):
             raise ValueError("need one feature matrix and one label vector per agent")
-        if lambda_reg < 0.0:
-            raise ValueError(f"regularization weight must be >= 0, got {lambda_reg}")
-        self.m = len(features)
-        self.features = [f if sp.issparse(f) else np.asarray(f, dtype=float) for f in features]
-        self.labels = [np.asarray(lab, dtype=float).ravel() for lab in labels]
-        self.n, self.d = self.features[0].shape
+        if not (math.isfinite(lambda_reg) and lambda_reg >= 0.0):
+            raise ValueError(f"regularization weight must be finite and >= 0, got {lambda_reg}")
+        feats = [f if sp.issparse(f) else np.asarray(f, dtype=float) for f in features]
+        labs = [np.asarray(lab, dtype=float).ravel() for lab in labels]
+        self.m = len(feats)
+        self.n, self.d = feats[0].shape
         self.lambda_reg = float(lambda_reg)
-        for i, (f, lab) in enumerate(zip(self.features, self.labels)):
+        for i, (f, lab) in enumerate(zip(feats, labs)):
             if f.shape != (self.n, self.d):
                 raise ValueError(f"agent {i} features have shape {f.shape}, expected {(self.n, self.d)}")
             if lab.shape != (self.n,):
                 raise ValueError(f"agent {i} has {lab.shape[0]} labels for {self.n} samples")
-            if not np.all(np.abs(lab) == 1.0):
-                raise ValueError(f"agent {i} labels must be exactly +1 or -1")
+        if any(sp.issparse(f) for f in feats):
+            self._x = sp.vstack(feats, format="csr", dtype=float)
+            bad_rows = np.searchsorted(
+                self._x.indptr, np.flatnonzero(~np.isfinite(self._x.data)), side="right"
+            ) - 1
+        else:
+            self._x = np.concatenate(feats)
+            bad_rows = np.flatnonzero(~np.isfinite(self._x).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(f"agent {bad_rows[0] // self.n} features are not finite")
+        self._y = np.concatenate(labs)
+        bad = np.flatnonzero(np.abs(self._y) != 1.0)
+        if bad.size:
+            raise ValueError(
+                f"agent {bad[0] // self.n} labels must be exactly +1 or -1, got {self._y[bad[0]]}"
+            )
+        self._starts = np.arange(self.m) * self.n
+        blocks = [self._block(i) for i in range(self.m)]
+        self.features = [f for f, _ in blocks]
+        self._features_t = [ft for _, ft in blocks]
+        self.labels = [self._y[s:s + self.n] for s in self._starts]
         self._smoothness = self._smoothness_bound()
+
+    def _block(self, i: int) -> tuple[np.ndarray | sp.csr_matrix, np.ndarray | sp.csc_matrix]:
+        """Agent i's rows of the stacked matrix and their transpose, as views."""
+        start, stop = i * self.n, (i + 1) * self.n
+        if not sp.issparse(self._x):
+            block = self._x[start:stop]
+            return block, block.T
+        x = self._x
+        lo, hi = x.indptr[start], x.indptr[stop]
+        arrays = (x.data[lo:hi], x.indices[lo:hi], x.indptr[start:stop + 1] - lo)
+        return (_sparse_view(sp.csr_matrix, (self.n, self.d), *arrays),
+                _sparse_view(sp.csc_matrix, (self.d, self.n), *arrays))
 
     def _row(self, i: int, j: int) -> np.ndarray:
         f = self.features[i]
@@ -173,10 +232,14 @@ class LogisticNCObjective(FiniteSumObjective):
     def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         z, lab = self._margins(i, x)
         coef = -(lab * expit(-z)) / self.n
-        lin = np.asarray(self.features[i].T @ coef).ravel()
+        lin = np.asarray(self._features_t[i] @ coef).ravel()
         return lin + _regularizer_grad(x, self.lambda_reg)
 
     def batch_grad_mean(self, i: int, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Mean component gradient of agent i over ``indices`` (with multiplicity).
+
+        The per-agent reference for ``paired_batch_diff``.
+        """
         indices = np.asarray(indices, dtype=np.intp)
         z, lab = self._margins(i, x, indices)
         coef = -(lab * expit(-z)) / len(indices)
@@ -184,19 +247,45 @@ class LogisticNCObjective(FiniteSumObjective):
         lin = np.asarray(fsub.T @ coef).ravel()
         return lin + _regularizer_grad(x, self.lambda_reg)
 
+    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        # One gather of the m*b sampled rows serves both margins; the
+        # coefficient differences are summed back per agent by one sparse
+        # agent-selector product.
+        m, b = idx.shape
+        rows = (idx + self._starts[:, None]).ravel()
+        f = self._x[rows]
+        lab = self._y[rows]
+        z_new = lab * _agent_dots(f, x_new, b)
+        z_old = lab * _agent_dots(f, x_old, b)
+        coef = lab * (expit(-z_old) - expit(-z_new)) / b
+        selector = sp.csr_matrix(
+            (coef, np.arange(m * b), np.arange(0, m * b + 1, b)), shape=(m, m * b)
+        )
+        lin = selector @ f
+        if sp.issparse(lin):
+            lin = lin.toarray()
+        reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
+        return lin + reg
+
+    def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        z = self._y * np.asarray(self._x @ x).ravel()
+        value = float(np.mean(_stable_logistic_loss(z))) + _regularizer_value(x, self.lambda_reg)
+        coef = -(self._y * expit(-z)) / self._y.size
+        grad = np.asarray(self._x.T @ coef).ravel() + _regularizer_grad(x, self.lambda_reg)
+        return value, grad
+
     def _smoothness_bound(self) -> float:
         # Per-component Lipschitz constant: ||a||^2 / 4 from the logistic
         # term (sigmoid curvature peaks at 1/4) plus 2*lambda from the
         # regularizer (|d^2/dx^2 of x^2/(1+x^2)| peaks at 2).
-        worst = 0.0
-        for f in self.features:
-            if sp.issparse(f):
-                row_sq = np.asarray(f.multiply(f).sum(axis=1)).ravel()
-            else:
-                row_sq = np.sum(f * f, axis=1)
-            ell = row_sq / 4.0 + 2.0 * self.lambda_reg
-            worst = max(worst, float(np.sqrt(np.mean(ell * ell))))
-        return worst
+        x = self._x
+        if sp.issparse(x):
+            squares = _sparse_view(sp.csr_matrix, x.shape, x.data * x.data, x.indices, x.indptr)
+            row_sq = squares @ np.ones(self.d)
+        else:
+            row_sq = np.einsum("kd,kd->k", x, x)
+        ell = (row_sq / 4.0 + 2.0 * self.lambda_reg).reshape(self.m, self.n)
+        return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
 
     @property
     def smoothness(self) -> float:
@@ -220,6 +309,10 @@ class QuadraticObjective(FiniteSumObjective):
         c = np.asarray(c, dtype=float)
         if a.ndim != 4 or c.ndim != 3 or a.shape[:3] != c.shape:
             raise ValueError(f"incompatible shapes a={a.shape}, c={c.shape}")
+        for name, arr in (("a", a), ("c", c)):
+            bad = np.flatnonzero(~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1))
+            if bad.size:
+                raise ValueError(f"agent {bad[0]} has non-finite entries in {name}")
         self.a = a
         self.c = c
         self.m, self.n, _, self.d = a.shape
@@ -242,17 +335,30 @@ class QuadraticObjective(FiniteSumObjective):
         return np.einsum("jqd,jq->d", self.a[i], r) / self.n
 
     def batch_grad_mean(self, i: int, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Mean component gradient of agent i over ``indices`` (with multiplicity).
+
+        The per-agent reference for ``paired_batch_diff``.
+        """
         indices = np.asarray(indices, dtype=np.intp)
         asub = self.a[i, indices]
         r = np.einsum("jqd,d->jq", asub, x) - self.c[i, indices]
         return np.einsum("jqd,jq->d", asub, r) / len(indices)
 
+    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        # The residual difference is A_ij (x_new - x_old): c cancels.
+        asub = self.a[np.arange(self.m)[:, None], idx]
+        r = np.einsum("ibqd,id->ibq", asub, x_new - x_old)
+        return np.einsum("ibqd,ibq->id", asub, r) / idx.shape[1]
+
+    def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        count = self.m * self.n
+        r = np.einsum("ijqd,d->ijq", self.a, x) - self.c
+        value = 0.5 * float(np.sum(r * r)) / count
+        return value, np.einsum("ijqd,ijq->d", self.a, r) / count
+
     def _smoothness_bound(self) -> float:
-        worst = 0.0
-        for i in range(self.m):
-            ell = np.array([np.linalg.norm(self.a[i, j], 2) ** 2 for j in range(self.n)])
-            worst = max(worst, float(np.sqrt(np.mean(ell * ell))))
-        return worst
+        ell = np.linalg.norm(self.a, 2, axis=(-2, -1)) ** 2
+        return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
 
     @property
     def smoothness(self) -> float:
@@ -267,8 +373,7 @@ class QuadraticObjective(FiniteSumObjective):
         return self._solution.copy()
 
     def optimal_value(self) -> float:
-        x_star = self.solution()
-        return float(np.mean([self.local_value(i, x_star) for i in range(self.m)]))
+        return self.global_value(self.solution())
 
     @property
     def value_lower_bound(self) -> float:

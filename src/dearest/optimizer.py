@@ -7,8 +7,10 @@ applies a mini-batch correction to its previous estimate (probabilistic
 recursive, PAGE-style variance reduction).  A gradient-tracking sequence
 accumulates estimator differences so that its network mean always equals the
 mean gradient estimator, and both the iterate matrix and the tracker are
-driven toward consensus with accelerated gossip -- more rounds on refresh
-steps than on cheap ones.
+driven toward consensus with accelerated gossip.  Refresh steps mix
+``big_k`` rounds and cheap steps ``hat_k``; under ``theorem_config``'s
+formulas the two are equal unless ln((sqrt(mn) + 6) / (24m)) > 12, so derived
+configs give refresh steps more rounds only at that scale.
 
 Cost accounting: one component-gradient evaluation is the oracle unit.  A
 paired difference grad(x_new) - grad(x_old) on the same sample is charged a
@@ -59,6 +61,12 @@ class DivergenceError(RuntimeError):
     """The iterates left the finite range; carries the failing iteration."""
 
 
+def _require_finite(**fields: float) -> None:
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All run hyperparameters plus the seeds of every random stream.
@@ -84,6 +92,7 @@ class RunConfig:
     output_seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(eta=self.eta, epsilon=self.epsilon)
         if not 0.0 < self.p <= 1.0:
             raise ConfigError(f"refresh probability must be in (0, 1], got {self.p}")
         if self.b < 1:
@@ -132,6 +141,13 @@ def theorem_config(
     """
     if m < 1 or n < 1:
         raise ConfigError(f"agent and sample counts must be positive, got m={m}, n={n}")
+    _require_finite(
+        smoothness=smoothness,
+        lambda2=lambda2,
+        epsilon=epsilon,
+        f0_minus_fstar_bound=f0_minus_fstar_bound,
+        g0_consensus_norm_sq=g0_consensus_norm_sq,
+    )
     if smoothness <= 0.0:
         raise ConfigError(f"smoothness constant must be > 0, got {smoothness}")
     if not -1.0 < lambda2 < 1.0:
@@ -266,19 +282,14 @@ def estimator_update(
 
     y_t = 1: exact local gradients at the new iterates.  y_t = 0: each agent
     draws b sample indices uniformly with replacement from its private
-    stream and adds the mean paired gradient difference to its previous
-    estimate.  Consumes the per-agent streams; counters are updated by
-    ``step``.
+    stream, in agent order, and adds the mean paired gradient difference to
+    its previous estimate; one ``paired_batch_diff`` call serves all agents.
+    Consumes the per-agent streams; counters are updated by ``step``.
     """
     if y_t:
         return obj.grad_rows(x_next)
-    g_next = np.empty_like(state.g)
-    for i in range(obj.m):
-        idx = state.agent_rngs[i].integers(0, obj.n, size=cfg.b)
-        g_next[i] = state.g[i] + (
-            obj.batch_grad_mean(i, idx, x_next[i]) - obj.batch_grad_mean(i, idx, state.x[i])
-        )
-    return g_next
+    idx = np.stack([rng.integers(0, obj.n, size=cfg.b) for rng in state.agent_rngs])
+    return state.g + obj.paired_batch_diff(idx, x_next, state.x)
 
 
 def step(

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dearest.objectives import (
     LogisticNCObjective,
@@ -255,3 +257,167 @@ class TestSyntheticLogistic:
         obj = make_synthetic_logistic(3, 10, 4, 0.0, seed=22)
         for lab in obj.labels:
             assert np.all(np.abs(lab) == 1.0)
+
+
+def loop_paired_diff(obj, idx, x_new, x_old):
+    """The per-agent reference: two ``batch_grad_mean`` calls per agent."""
+    return np.stack([
+        obj.batch_grad_mean(i, idx[i], x_new[i]) - obj.batch_grad_mean(i, idx[i], x_old[i])
+        for i in range(obj.m)
+    ])
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+def a9a_shaped_logistic(m=20, n=1628, d=123, nnz=14, seed=0):
+    """Binary CSR rows with ``nnz`` distinct features each, as in a9a."""
+    rng = np.random.default_rng(seed)
+    cols = np.sort(np.argsort(rng.random((m * n, d)), axis=1)[:, :nnz], axis=1)
+    full = sp.csr_matrix(
+        (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, nnz)), shape=(m * n, d)
+    )
+    labels = np.where(rng.random(m * n) < 0.5, 1.0, -1.0)
+    return LogisticNCObjective(
+        [full[i * n:(i + 1) * n] for i in range(m)],
+        [labels[i * n:(i + 1) * n] for i in range(m)],
+        1e-4,
+    )
+
+
+def fused_instances():
+    dense = make_synthetic_logistic(4, 9, 5, 1e-3, seed=30)
+    sparse_obj = LogisticNCObjective(
+        [sp.csr_matrix(f) for f in dense.features], dense.labels, dense.lambda_reg
+    )
+    return {"dense": dense, "csr": sparse_obj, "quadratic": make_quadratic(4, 9, 5, seed=31)}
+
+
+class TestPairedBatchDiff:
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    def test_matches_loop_with_repeats(self, kind):
+        obj = fused_instances()[kind]
+        rng = np.random.default_rng(32)
+        idx = np.array([[0, 2, 2, 8], [5, 5, 5, 5], [1, 3, 1, 0], [8, 7, 6, 8]])
+        x_new = rng.standard_normal((obj.m, obj.d))
+        x_old = rng.standard_normal((obj.m, obj.d))
+        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    def test_single_sample_batch(self, kind):
+        obj = fused_instances()[kind]
+        rng = np.random.default_rng(33)
+        idx = rng.integers(0, obj.n, size=(obj.m, 1))
+        x_new = rng.standard_normal((obj.m, obj.d))
+        x_old = rng.standard_normal((obj.m, obj.d))
+        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    def test_single_agent(self, kind):
+        if kind == "quadratic":
+            obj = make_quadratic(1, 7, 3, seed=34)
+        else:
+            dense = make_synthetic_logistic(1, 7, 3, 1e-3, seed=34)
+            obj = dense if kind == "dense" else LogisticNCObjective(
+                [sp.csr_matrix(dense.features[0])], dense.labels, dense.lambda_reg
+            )
+        rng = np.random.default_rng(35)
+        idx = rng.integers(0, obj.n, size=(1, 5))
+        x_new = rng.standard_normal((1, obj.d))
+        x_old = rng.standard_normal((1, obj.d))
+        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    def test_equal_points_give_exact_zero(self, kind):
+        obj = fused_instances()[kind]
+        x = np.random.default_rng(36).standard_normal((obj.m, obj.d))
+        idx = np.zeros((obj.m, 3), dtype=np.int64)
+        np.testing.assert_array_equal(obj.paired_batch_diff(idx, x, x.copy()), 0.0)
+
+    def test_a9a_shape(self):
+        obj = a9a_shaped_logistic()
+        rng = np.random.default_rng(37)
+        idx = rng.integers(0, obj.n, size=(obj.m, 55))
+        x_old = 0.1 * rng.standard_normal((obj.m, obj.d))
+        x_new = x_old + 0.01 * rng.standard_normal((obj.m, obj.d))
+        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(1, 12),
+        d=st.integers(1, 6),
+        b=st.integers(1, 15),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dense", "csr", "quadratic"]),
+    )
+    def test_fused_matches_loop_property(self, m, n, d, b, seed, kind):
+        if kind == "quadratic":
+            obj = make_quadratic(m, n, d, seed=seed, q=2)
+        else:
+            obj = make_synthetic_logistic(m, n, d, 1e-3, seed=seed)
+            if kind == "csr":
+                obj = LogisticNCObjective(
+                    [sp.csr_matrix(f) for f in obj.features], obj.labels, obj.lambda_reg
+                )
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n, size=(m, b))
+        x_new = rng.standard_normal((m, d))
+        x_old = rng.standard_normal((m, d))
+        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+
+
+class TestStackedLayout:
+    def test_blocks_share_the_stacked_copy(self):
+        dense = make_synthetic_logistic(3, 5, 4, 1e-3, seed=40)
+        sparse_obj = LogisticNCObjective(
+            [sp.csr_matrix(f) for f in dense.features], dense.labels, dense.lambda_reg
+        )
+        for obj in (dense, sparse_obj):
+            assert obj.n == 5 and len(obj.features) == 3
+            np.testing.assert_array_equal(obj.labels[2], obj._y[10:15])
+        np.testing.assert_array_equal(dense.features[1], dense._x[5:10])
+        assert np.shares_memory(dense.features[1], dense._x)
+        assert np.shares_memory(sparse_obj.features[1].data, sparse_obj._x.data)
+        assert np.shares_memory(sparse_obj._features_t[1].data, sparse_obj._x.data)
+        for f_dense, f_sparse in zip(dense.features, sparse_obj.features):
+            np.testing.assert_array_equal(f_sparse.toarray(), f_dense)
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    def test_global_value_and_grad_is_mean_of_locals(self, kind):
+        obj = fused_instances()[kind]
+        x = np.random.default_rng(41).standard_normal(obj.d)
+        value, grad = obj.global_value_and_grad(x)
+        assert value == pytest.approx(np.mean([obj.local_value(i, x) for i in range(obj.m)]), rel=1e-12)
+        assert_rel_close(grad, np.mean([obj.local_grad(i, x) for i in range(obj.m)], axis=0))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("sparse_input", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_features_rejected_naming_the_agent(self, sparse_input, bad):
+        feats = [np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 2))]
+        feats[1][2, 0] = bad
+        if sparse_input:
+            feats = [sp.csr_matrix(f) for f in feats]
+        with pytest.raises(ValueError, match="agent 1 features are not finite"):
+            LogisticNCObjective(feats, [np.ones(3)] * 3, 1e-4)
+
+    def test_labels_rejected_naming_the_agent(self):
+        with pytest.raises(ValueError, match="agent 1 labels .* got nan"):
+            LogisticNCObjective([np.ones((2, 2))] * 2, [np.ones(2), np.array([1.0, np.nan])], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lambda_rejected(self, bad):
+        with pytest.raises(ValueError, match="regularization weight must be finite"):
+            LogisticNCObjective([np.ones((1, 2))], [np.array([1.0])], bad)
+
+    @pytest.mark.parametrize("field", ["a", "c"])
+    def test_quadratic_rejected_naming_the_agent(self, field):
+        a = np.ones((3, 2, 2, 2))
+        c = np.zeros((3, 2, 2))
+        (a if field == "a" else c)[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match=f"agent 2 has non-finite entries in {field}"):
+            QuadraticObjective(a, c)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dearest.metrics import global_estimation_error, local_estimation_error
-from dearest.objectives import make_quadratic, make_synthetic_logistic
+from dearest.objectives import LogisticNCObjective, make_quadratic, make_synthetic_logistic
 from dearest.optimizer import (
     ConfigError,
     DivergenceError,
@@ -89,6 +90,18 @@ class TestTheoremConfig:
         with pytest.raises(ConfigError, match="target"):
             theorem_config(4, 16, 1.0, 0.5, 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "field, position",
+        [("smoothness", 2), ("lambda2", 3), ("epsilon", 4),
+         ("f0_minus_fstar_bound", 5), ("g0_consensus_norm_sq", 6)],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs(self, field, position, bad):
+        args = [4, 16, 1.0, 0.5, 0.1, 1.0, 1.0]
+        args[position] = bad
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            theorem_config(*args)
+
     def test_seed_determinism(self):
         a = theorem_config(4, 16, 1.0, 0.5, 0.1, 1.0, 0.0, seed=7)
         b = theorem_config(4, 16, 1.0, 0.5, 0.1, 1.0, 0.0, seed=7)
@@ -107,6 +120,12 @@ class TestTheoremConfig:
             manual_config(2, eta=-0.1)
         # eta = 0 is a legal diagnostic configuration
         assert manual_config(2, eta=0.0).eta == 0.0
+
+    @pytest.mark.parametrize("field", ["eta", "epsilon"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_runconfig_rejects_non_finite(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            manual_config(2, **{field: bad})
 
 
 class TestInit:
@@ -185,6 +204,39 @@ class TestEstimatorUpdate:
         se = np.sqrt(np.maximum(total_sq / reps - mean**2, 0.0) / reps)
         target = self.state.g + self.obj.grad_rows(x_next) - self.obj.grad_rows(self.state.x)
         assert np.all(np.abs(mean - target) <= 3.0 * se + 1e-12)
+
+
+class TestFusedEstimatorUpdate:
+    """The fused cheap step consumes exactly the per-agent draws of the loop."""
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    def test_replays_the_agent_loop(self, kind):
+        if kind == "quadratic":
+            obj = make_quadratic(3, 10, 4, seed=8)
+        else:
+            obj = make_synthetic_logistic(3, 10, 4, 1e-3, seed=8)
+            if kind == "csr":
+                obj = LogisticNCObjective(
+                    [sp.csr_matrix(f) for f in obj.features], obj.labels, obj.lambda_reg
+                )
+        cfg = manual_config(3, b=6)
+        state = init(obj, make_w(build_ring(3)), cfg, np.zeros(4))
+        replay = [np.random.default_rng(s) for s in cfg.agent_seeds]
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            x_next = state.x + 0.3 * rng.standard_normal(state.x.shape)
+            g_next = estimator_update(state, obj, cfg, 0, x_next)
+            reference = np.empty_like(state.g)
+            for i in range(obj.m):
+                idx = replay[i].integers(0, obj.n, size=cfg.b)
+                reference[i] = state.g[i] + (
+                    obj.batch_grad_mean(i, idx, x_next[i]) - obj.batch_grad_mean(i, idx, state.x[i])
+                )
+            np.testing.assert_allclose(g_next, reference, rtol=1e-12, atol=1e-15)
+            state = dataclasses.replace(state, x=x_next, g=g_next)
+        # the streams stand where the loop leaves them
+        for live, replayed in zip(state.agent_rngs, replay):
+            assert live.integers(2**62) == replayed.integers(2**62)
 
 
 class TestStep:
