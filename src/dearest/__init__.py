@@ -45,7 +45,6 @@ from .topology import (
     build_ring,
     gossip_from_laplacian,
     gossip_from_matrix,
-    jacobi_eigenvalues,
     laplacian,
     read_graph_file,
     spectral_gap,
@@ -80,7 +79,6 @@ __all__ = [
     "gossip_from_laplacian",
     "gossip_from_matrix",
     "init",
-    "jacobi_eigenvalues",
     "laplacian",
     "local_estimation_error",
     "lyapunov",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -103,6 +104,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
@@ -111,18 +119,18 @@ _SPEC_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "objective": ("objective", str),
     "topology": ("topology", str),
     "m": ("m", int),
-    "epsilon": ("epsilon", float),
+    "epsilon": ("epsilon", _parse_finite),
     "data": ("data", Path),
     "dim": ("dim", int),
     "graph_file": ("graph_file", Path),
-    "prob": ("prob", float),
+    "prob": ("prob", _parse_finite),
     "topology_seed": ("topology_seed", int),
     "data_seed": ("data_seed", int),
-    "lambda": ("lambda_reg", float),
+    "lambda": ("lambda_reg", _parse_finite),
     "normalize": ("normalize", _parse_bool),
     "synthetic_samples": ("synthetic_samples", int),
     "synthetic_dim": ("synthetic_dim", int),
-    "flip_fraction": ("flip_fraction", float),
+    "flip_fraction": ("flip_fraction", _parse_finite),
     "n": ("n", int),
     "d": ("d", int),
     "seeds": ("seeds", _parse_int_list),
@@ -131,9 +139,9 @@ _SPEC_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
 }
 
 _OVERRIDE_KEYS: dict[str, Callable[[str], object]] = {
-    "eta": float,
+    "eta": _parse_finite,
     "b": int,
-    "p": float,
+    "p": _parse_finite,
     "big_k": int,
     "hat_k": int,
     "k_in": int,

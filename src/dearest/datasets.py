@@ -1,10 +1,11 @@
 """LIBSVM-format parsing and random per-agent partitioning.
 
 Each line of a LIBSVM file is ``label idx:val idx:val ...`` with 1-based,
-strictly increasing feature indices.  Labels must be one of {0, 1, -1, +1}
-and are normalized to {-1, +1} ({0, 1} files map 0 to -1).  Features stay
-sparse internally (index/value pairs per sample) because dimensions can run
-to tens of thousands; ``shard_matrices`` assembles per-agent CSR matrices.
+strictly increasing feature indices and finite values.  Labels must be one
+of {0, 1, -1, +1} and are normalized to {-1, +1} ({0, 1} files map 0 to -1).
+Features stay sparse internally (index/value pairs per sample) because
+dimensions can run to tens of thousands; ``shard_matrices`` assembles
+per-agent CSR matrices.
 
 Partitioning shuffles all sample indices with a seeded permutation and deals
 them out as m contiguous blocks of n = floor(N/m); the remainder is dropped
@@ -13,6 +14,7 @@ so every agent holds exactly n samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,9 +110,12 @@ def parse_libsvm(path: str | Path, d_override: int | None = None) -> SampleSet:
                 raise DatasetError(f"{path}:{lineno}: expected 'index:value', got {tok!r}")
             try:
                 one_based = int(part[0])
-                val[k] = float(part[1])
+                value = float(part[1])
             except ValueError:
                 raise DatasetError(f"{path}:{lineno}: non-numeric token {tok!r}") from None
+            if not math.isfinite(value):
+                raise DatasetError(f"{path}:{lineno}: non-finite feature value in {tok!r}")
+            val[k] = value
             if one_based <= prev:
                 raise DatasetError(
                     f"{path}:{lineno}: feature index {one_based} is not strictly increasing"

@@ -15,6 +15,15 @@ k * sqrt(eta_u)^k).  Two all-k bounds hold and the tests pin both down:
 * the FastMix lemma (Ye, Luo, Zhou & Zhang 2020, Prop. 1) that DEAREST uses,
   ||u(k) - 1 u_bar|| <= sqrt(14) (1 - sqrt(1 - lambda2))^k ||u0 - 1 u_bar||;
 * the transient envelope (1 + k * (1 + sqrt(eta_u))) * sqrt(eta_u)^k.
+
+k rounds of the recursion apply a fixed matrix, the mixing polynomial
+P_k(W) = V diag(p_k(lambda)) V^T, where W = V diag(lambda) V^T and p_k is the
+scalar recursion p(-1) = p(0) = 1, p(j+1) = (1 + eta_u) lambda p(j) -
+eta_u p(j-1).  ``fastmix`` builds P_k(W) once per gossip matrix and k, keeps
+it in ``GossipMatrix.polynomials`` and then mixes with one matrix product.
+The recursion stays the definition; the tests run it round by round as the
+reference.  Each cached k costs m^2 * 8 bytes (8 MB at m = 1000) on top of
+W's eigenvectors, and a run uses at most three values of k.
 """
 
 from __future__ import annotations
@@ -55,12 +64,32 @@ def chebyshev_momentum(lambda2: float) -> float:
     return (1.0 - root) / (1.0 + root)
 
 
+def _mixing_polynomial(w: GossipMatrix, k: int, eta_u: float) -> np.ndarray:
+    """P_k(W), from W's eigendecomposition; cached on ``w`` per k."""
+    poly = w.polynomials.get(k)
+    if poly is None:
+        lam, v = w.spectrum
+        prev = cur = np.ones_like(lam)
+        for _ in range(k):
+            prev, cur = cur, (1.0 + eta_u) * lam * cur - eta_u * prev
+        # p_k(1) = 1 for every k, and W's top eigenvalue is 1 (checked at
+        # construction).  LAPACK returns it only to within rounding, which
+        # the recursion would amplify by p_k'(1) ~ k (1 + eta_u) / (1 - eta_u)
+        # into a drift of the column means.
+        cur[-1] = 1.0
+        poly = (v * cur) @ v.T
+        poly.setflags(write=False)
+        w.polynomials[k] = poly
+    return poly
+
+
 def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> MixResult:
     """Apply k rounds of momentum gossip to the rows of u0.
 
     Starting from u(-1) = u(0) = u0, each round computes
-    u(j+1) = (1 + eta_u) * W @ u(j) - eta_u * u(j-1) and the result is u(k);
-    k = 0 returns u0 unchanged.  Column means are preserved every round, and
+    u(j+1) = (1 + eta_u) * W @ u(j) - eta_u * u(j-1) and the result is u(k),
+    computed as P_k(W) @ u0 with the cached mixing polynomial; k = 0 returns
+    a copy of u0.  Column means are preserved every round, and
     the consensus residual decays at the asymptotic rate
     (1 - sqrt(1 - lambda2))^k; for every k it is at most sqrt(14) times
     that factor times the initial residual (FastMix lemma).
@@ -75,11 +104,7 @@ def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> MixResult:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise MixingError(f"round count must be a nonnegative integer, got {k!r}")
     eta_u = chebyshev_momentum(w.lambda2)
-    cur = u.copy()
     if k == 0:
-        return MixResult(u=cur, rounds_used=0)
-    prev = u.copy()
-    for _ in range(k):
-        nxt = (1.0 + eta_u) * (w.w @ cur) - eta_u * prev
-        prev, cur = cur, nxt
-    return MixResult(u=cur, rounds_used=int(k))
+        return MixResult(u=u.copy(), rounds_used=0)
+    k = int(k)
+    return MixResult(u=_mixing_polynomial(w, k, eta_u) @ u, rounds_used=k)

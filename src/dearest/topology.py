@@ -7,16 +7,16 @@ its largest eigenvalue.  The second-largest eigenvalue of W and the spectral
 gap 1 - lambda2(W) govern how fast repeated gossip averages the network, so
 they are computed once and cached on the matrix.
 
-Eigenvalues are computed with a cyclic Jacobi sweep: the matrices here are
-small, dense and symmetric, and Jacobi is deterministic and accurate enough
-(absolute off-diagonal tolerance 1e-10) without pulling in a LAPACK
-dependency for this one job.
+Spectra come from LAPACK through ``np.linalg.eigvalsh``.  A GossipMatrix
+also computes its full eigendecomposition (``np.linalg.eigh``) the first
+time it is asked for it and keeps it, together with the mixing polynomials
+that ``dearest.mixing.fastmix`` builds from it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "GossipMatrix",
     "TopologyError",
     "GossipMatrixError",
-    "EigensolverError",
     "build_ring",
     "build_random",
     "build_complete",
@@ -35,13 +34,11 @@ __all__ = [
     "laplacian",
     "gossip_from_laplacian",
     "gossip_from_matrix",
-    "jacobi_eigenvalues",
     "spectral_gap",
 ]
 
 SYMMETRY_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
-JACOBI_TOL = 1e-10
 
 _MAX_RESAMPLES = 1000
 
@@ -52,10 +49,6 @@ class TopologyError(ValueError):
 
 class GossipMatrixError(ValueError):
     """A matrix violates the gossip-matrix requirements."""
-
-
-class EigensolverError(RuntimeError):
-    """The Jacobi sweep limit was hit before reaching the target tolerance."""
 
 
 def _canonical_edge(i: int, j: int) -> tuple[int, int]:
@@ -110,18 +103,19 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.m, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        lo, hi = self._endpoints()
+        return np.bincount(np.concatenate([lo, hi]), minlength=self.m)
 
     def adjacency(self) -> np.ndarray:
+        lo, hi = self._endpoints()
         a = np.zeros((self.m, self.m))
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
+        a[lo, hi] = 1.0
+        a[hi, lo] = 1.0
         return a
 
 
@@ -151,18 +145,13 @@ def build_random(m: int, prob: float, seed: int) -> Graph:
         raise TopologyError(f"random graph needs at least 2 agents, got {m}")
     if not 0.0 < prob <= 1.0:
         raise TopologyError(f"edge probability must be in (0, 1], got {prob}")
+    lo, hi = np.triu_indices(m, k=1)  # the pairs i < j in row-major order
     for attempt in range(_MAX_RESAMPLES):
         rng = np.random.default_rng(seed + attempt)
-        draws = rng.random(m * (m - 1) // 2)
-        edges = set()
-        k = 0
-        for i in range(m):
-            for j in range(i + 1, m):
-                if draws[k] < prob:
-                    edges.add((i, j))
-                k += 1
-        if _is_connected(m, frozenset(edges)):
-            return Graph(m, frozenset(edges))
+        keep = rng.random(m * (m - 1) // 2) < prob
+        edges = frozenset(zip(lo[keep].tolist(), hi[keep].tolist()))
+        if _is_connected(m, edges):
+            return Graph(m, edges)
     raise TopologyError(
         f"no connected G({m}, {prob}) sample in {_MAX_RESAMPLES} attempts "
         f"starting from seed {seed}"
@@ -215,53 +204,6 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, by cyclic Jacobi rotations.
-
-    Sweeps rotate every (p, q) pair in a fixed order until the off-diagonal
-    Frobenius norm drops below ``tol`` (absolute).  Raises EigensolverError
-    with diagnostics if ``max_sweeps`` full sweeps are not enough.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise GossipMatrixError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] != 1 and np.max(np.abs(a - a.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(a))):
-        raise GossipMatrixError("matrix is not symmetric")
-    n = a.shape[0]
-    if n == 1:
-        return a.reshape(1).copy()
-    a = 0.5 * (a + a.T)  # symmetrize any tolerated asymmetry before iterating
-    # Unreachable absolute tolerances (huge matrix scale) fall back to the
-    # float64-representable floor instead of spinning forever.
-    eff_tol = max(tol, 64.0 * np.finfo(float).eps * np.linalg.norm(a))
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0) * np.linalg.norm(a[np.triu_indices(n, k=1)])
-        if off <= eff_tol:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    final_off = math.sqrt(2.0) * np.linalg.norm(a[np.triu_indices(n, k=1)])
-    raise EigensolverError(
-        f"Jacobi did not reach off-diagonal norm {eff_tol:.3e} in {max_sweeps} sweeps "
-        f"(n={n}, final off-diagonal norm {final_off:.3e})"
-    )
-
-
 @dataclass(frozen=True)
 class GossipMatrix:
     """Symmetric mixing matrix with cached spectral quantities.
@@ -269,7 +211,9 @@ class GossipMatrix:
     ``lambda2`` is the second-largest eigenvalue and ``gap = 1 - lambda2``.
     Instances come from ``gossip_from_laplacian`` or ``gossip_from_matrix``,
     which enforce symmetry, unit row sums, the edge sparsity pattern, and a
-    simple unit eigenvalue; the array is frozen read-only.
+    simple unit eigenvalue; the array is frozen read-only.  ``spectrum`` and
+    ``polynomials`` are per-instance caches filled on first use, so every run
+    that shares one instance shares them.
     """
 
     w: np.ndarray
@@ -279,6 +223,29 @@ class GossipMatrix:
     @property
     def m(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues ascending, orthonormal eigenvectors as columns) of W.
+
+        Computed with LAPACK on first use and kept, read-only, for the life
+        of the matrix.
+        """
+        lam, v = np.linalg.eigh(self.w)
+        lam.setflags(write=False)
+        v.setflags(write=False)
+        return lam, v
+
+    @cached_property
+    def polynomials(self) -> dict[int, np.ndarray]:
+        """Mixing polynomials P_K(W) by round count K, filled by ``fastmix``."""
+        return {}
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # NaN passes every tolerance comparison below, so test for it first.
+    if not np.isfinite(a).all():
+        raise GossipMatrixError(f"{what} has non-finite entries")
 
 
 def _finish_gossip(w: np.ndarray, lambda2: float) -> GossipMatrix:
@@ -301,6 +268,7 @@ def gossip_from_laplacian(lap: np.ndarray) -> GossipMatrix:
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise GossipMatrixError(f"Laplacian must be square, got shape {lap.shape}")
+    _require_finite(lap, "Laplacian")
     m = lap.shape[0]
     if m < 2:
         raise GossipMatrixError("a single-agent graph has no gossip matrix")
@@ -308,7 +276,7 @@ def gossip_from_laplacian(lap: np.ndarray) -> GossipMatrix:
         raise GossipMatrixError("Laplacian is not symmetric")
     if np.max(np.abs(lap.sum(axis=1))) > ROW_SUM_TOL:
         raise GossipMatrixError("Laplacian rows must sum to zero")
-    mu = jacobi_eigenvalues(lap)
+    mu = np.linalg.eigvalsh(lap)
     if abs(mu[0]) > 1e-8:
         raise GossipMatrixError(f"smallest Laplacian eigenvalue {mu[0]:.3e} is not ~0")
     if mu[1] <= 1e-12:
@@ -328,6 +296,7 @@ def gossip_from_matrix(w: np.ndarray, graph: Graph | None = None) -> GossipMatri
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GossipMatrixError(f"mixing matrix must be square, got shape {w.shape}")
+    _require_finite(w, "mixing matrix")
     m = w.shape[0]
     if np.max(np.abs(w - w.T)) > SYMMETRY_TOL:
         raise GossipMatrixError("mixing matrix is not symmetric to 1e-12")
@@ -338,11 +307,11 @@ def gossip_from_matrix(w: np.ndarray, graph: Graph | None = None) -> GossipMatri
     if graph is not None:
         if graph.m != m:
             raise GossipMatrixError(f"matrix is {m}x{m} but graph has {graph.m} agents")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if (i, j) not in graph.edges and w[i, j] != 0.0:
-                    raise GossipMatrixError(f"nonzero weight {w[i, j]!r} on non-edge ({i}, {j})")
-    ev = jacobi_eigenvalues(w)
+        off_edge = np.triu(graph.adjacency() == 0.0, k=1) & (w != 0.0)
+        if off_edge.any():
+            i, j = (int(x) for x in np.argwhere(off_edge)[0])
+            raise GossipMatrixError(f"nonzero weight {w[i, j]!r} on non-edge ({i}, {j})")
+    ev = np.linalg.eigvalsh(w)
     if abs(ev[-1] - 1.0) > 1e-8:
         raise GossipMatrixError(f"largest eigenvalue {ev[-1]!r} is not 1")
     if m >= 2 and ev[-2] >= 1.0 - 1e-12:
@@ -356,15 +325,16 @@ def spectral_gap(w: GossipMatrix | np.ndarray) -> tuple[float, float]:
     """Return (lambda2, 1 - lambda2) for a symmetric mixing matrix.
 
     Accepts either a validated GossipMatrix (cached values) or a raw symmetric
-    array, for which the full Jacobi spectrum is computed.
+    array, for which the full spectrum is computed with LAPACK.
     """
     if isinstance(w, GossipMatrix):
         return w.lambda2, w.gap
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GossipMatrixError(f"expected a square matrix, got shape {w.shape}")
+    _require_finite(w, "matrix")
     if np.max(np.abs(w - w.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(w))):
         raise GossipMatrixError("matrix is not symmetric")
-    ev = jacobi_eigenvalues(w)
+    ev = np.linalg.eigvalsh(w)
     lam2 = float(ev[-2]) if w.shape[0] >= 2 else float(ev[-1])
     return lam2, 1.0 - lam2

@@ -1,5 +1,8 @@
 """Spec parsing, experiment orchestration, and the command-line surface."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,15 @@ class TestLoadSpec:
             tmp_path, "objective = quadratic\ntopology = ring\nm = four\nepsilon = 1e-3\n"
         )
         with pytest.raises(SpecError, match=r"bad value for 'm'"):
+            load_spec(path)
+
+    @pytest.mark.parametrize("key", ["epsilon", "prob", "lambda", "flip_fraction", "eta", "p"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_key(self, tmp_path, key, value):
+        lines = {"objective": "logistic", "topology": "ring", "m": "4", "epsilon": "1e-3"}
+        lines[key] = value
+        path = write_spec(tmp_path, "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        with pytest.raises(SpecError, match=rf"bad value for '{key}': '{value}' is not a finite"):
             load_spec(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -184,6 +196,17 @@ class TestMain:
         out = capsys.readouterr().out
         assert "lambda2 = 0.975528" in out
         assert "gap = 0.0244717" in out
+
+    def test_spectra_ring_400(self, capsys):
+        started = time.perf_counter()
+        assert main(["spectra", "ring", "400"]) == 0
+        elapsed = time.perf_counter() - started
+        out = capsys.readouterr().out
+        gap = (1.0 - math.cos(2.0 * math.pi / 400)) / 2.0
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        assert printed["edges"] == "400"
+        assert float(printed["gap"]) == pytest.approx(gap, abs=1e-12)
+        assert elapsed < 10.0  # LAPACK takes milliseconds; a Python eigensolver takes minutes
 
     def test_spectra_random(self, capsys):
         assert main(["spectra", "random", "12", "--prob", "0.3", "--seed", "2"]) == 0

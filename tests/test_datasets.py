@@ -55,6 +55,12 @@ class TestParse:
         with pytest.raises(DatasetError, match=r"data.txt:1.*non-numeric"):
             parse_libsvm(write(tmp_path, "+1 1:abc\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_value(self, tmp_path, value):
+        path = write(tmp_path, f"+1 1:1.0\n-1 1:0.5 3:{value} 4:1.0\n")
+        with pytest.raises(DatasetError, match=rf"data.txt:2: non-finite .*'3:{value}'"):
+            parse_libsvm(path)
+
     def test_non_increasing_indices(self, tmp_path):
         with pytest.raises(DatasetError, match=r"data.txt:1.*strictly increasing"):
             parse_libsvm(write(tmp_path, "+1 3:1.0 3:2.0\n"))

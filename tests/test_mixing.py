@@ -1,9 +1,16 @@
-"""Accelerated gossip: mean preservation, contraction, linearity."""
+"""Accelerated gossip: mean preservation, contraction, linearity.
+
+``fastmix`` applies the cached mixing polynomial P_k(W) in one product.
+``reference_fastmix`` below runs the momentum recursion round by round; it
+is the definition that the fast path is checked against.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dearest.mixing import MixingError, chebyshev_momentum, fastmix
 from dearest.topology import (
@@ -28,6 +35,29 @@ TOPOLOGIES = [
     make_w("complete", 5),
     make_w("random", 20, prob=0.15, seed=1),
 ]
+
+
+def reference_fastmix(u0, w, k):
+    """k rounds of u(j+1) = (1 + eta_u) W u(j) - eta_u u(j-1), from u(-1) = u(0) = u0."""
+    eta_u = chebyshev_momentum(w.lambda2)
+    prev = cur = np.asarray(u0, dtype=float)
+    for _ in range(k):
+        prev, cur = cur, (1.0 + eta_u) * (w.w @ cur) - eta_u * prev
+    return cur.copy()
+
+
+# fastmix against the recursion, as a multiple of max |u0|: both round
+# differently, and the recursion's own rounding grows with k.
+REFERENCE_TOL = 1e-12
+
+
+def fast_and_reference(u0, w, k):
+    """fastmix(u0, w, k).u and the round-by-round reference, checked to agree."""
+    out = fastmix(u0, w, k)
+    assert out.rounds_used == k
+    ref = reference_fastmix(u0, w, k)
+    assert np.max(np.abs(out.u - ref)) <= REFERENCE_TOL * np.max(np.abs(u0))
+    return out.u, ref
 
 
 def residual(u, u0):
@@ -95,8 +125,19 @@ class TestMeanPreservation:
         mean0 = u0.mean(axis=0)
         scale = np.maximum(np.abs(mean0), 1.0)
         for k in range(51):
-            drift = np.abs(fastmix(u0, w, k).u.mean(axis=0) - mean0)
-            assert np.all(drift <= 1e-10 * scale)
+            for u in fast_and_reference(u0, w, k):
+                assert np.all(np.abs(u.mean(axis=0) - mean0) <= 1e-10 * scale)
+
+
+    @pytest.mark.parametrize("m, k", [(100, 426), (40, 500)])
+    def test_means_held_to_rounding_at_large_k(self, m, k):
+        # p_k'(1) grows like k (1 + eta_u) / (1 - eta_u); unless P_k pins
+        # p_k(1) = 1, LAPACK's rounding of the top eigenvalue shows up as a
+        # mean drift of ~1.2e-13 of max |u| on these rings.
+        w = make_w("ring", m)
+        u0 = np.random.default_rng(0).standard_normal((m, 5))
+        drift = np.abs(fastmix(u0, w, k).u.mean(axis=0) - u0.mean(axis=0))
+        assert np.max(drift) <= 4e-14 * np.max(np.abs(u0))
 
 
 class TestContraction:
@@ -108,8 +149,9 @@ class TestContraction:
             u0 = rng.standard_normal((w.m, 4))
             r0 = residual(u0, u0)
             for k in range(1, 31):
-                res = residual(fastmix(u0, w, k).u, u0)
-                assert res <= transient_envelope(w, k) * r0 * (1.0 + 1e-8) + noise_floor * r0
+                bound = transient_envelope(w, k) * r0 * (1.0 + 1e-8) + noise_floor * r0
+                for u in fast_and_reference(u0, w, k):
+                    assert residual(u, u0) <= bound
 
     @pytest.mark.parametrize("w", TOPOLOGIES, ids=lambda w: f"m{w.m}")
     def test_asymptotic_rate_reached(self, w):
@@ -155,7 +197,8 @@ class TestContraction:
             plain = w.w @ plain
             if residual(plain, u0) > bound:
                 broken.append(k)
-            assert residual(fastmix(u0, w, k).u, u0) <= bound * (1.0 + 1e-8)
+            for u in fast_and_reference(u0, w, k):
+                assert residual(u, u0) <= bound * (1.0 + 1e-8)
         assert broken, "plain gossip W^k never exceeded the FastMix lemma bound"
 
     def test_idempotent_on_consensus(self):
@@ -177,3 +220,63 @@ class TestLinearity:
             lhs = fastmix(alpha * u + beta * v, w, k).u
             rhs = alpha * fastmix(u, w, k).u + beta * fastmix(v, w, k).u
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
+
+
+class TestMixingPolynomialCache:
+    def test_one_entry_per_round_count_reused_across_calls(self):
+        w = make_w("ring", 6)
+        rng = np.random.default_rng(5)
+        assert w.polynomials == {}
+        fastmix(rng.standard_normal((6, 2)), w, 0)
+        assert w.polynomials == {}  # k = 0 is a copy, no polynomial
+        fastmix(rng.standard_normal((6, 2)), w, 7)
+        first = w.polynomials[7]
+        fastmix(rng.standard_normal(6), w, 7)
+        fastmix(rng.standard_normal((6, 3)), w, np.int64(7))
+        assert w.polynomials[7] is first
+        fastmix(rng.standard_normal((6, 2)), w, 3)
+        assert sorted(w.polynomials) == [3, 7]
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_fresh_matrix_starts_with_an_empty_cache(self):
+        a, b = make_w("ring", 5), make_w("ring", 5)
+        fastmix(np.eye(5), a, 4)
+        assert 4 in a.polynomials and b.polynomials == {}
+
+
+class TestFastmixProperties:
+    """fastmix against the recursion on random connected graphs (m in 2..40, k in 0..500)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(2, 40),
+        prob=st.floats(0.3, 1.0),
+        graph_seed=st.integers(0, 10_000),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(0, 500),
+    )
+    def test_matches_reference_preserves_means_is_linear_and_cached(
+        self, m, prob, graph_seed, d, seed, k
+    ):
+        w = make_w("random", m, prob=prob, seed=graph_seed)
+        rng = np.random.default_rng(seed)
+        u, v = rng.standard_normal((2, m, d)) * rng.uniform(0.1, 100.0, size=(2, 1, d))
+        scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
+
+        mixed, _ = fast_and_reference(u, w, k)
+        assert np.max(np.abs(mixed.mean(axis=0) - u.mean(axis=0))) <= REFERENCE_TOL * scale
+
+        alpha, beta = rng.uniform(-2.0, 2.0, size=2)
+        lhs = fastmix(alpha * u + beta * v, w, k).u
+        rhs = alpha * mixed + beta * fastmix(v, w, k).u
+        assert np.max(np.abs(lhs - rhs)) <= REFERENCE_TOL * scale
+
+        assert set(w.polynomials) == ({k} if k else set())
+        if k:
+            cached = w.polynomials[k]
+            fastmix(v, w, k)
+            assert w.polynomials[k] is cached
+            fastmix(v, w, k + 1)
+            assert set(w.polynomials) == {k, k + 1}

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dearest.metrics import global_estimation_error, local_estimation_error
 from dearest.objectives import LogisticNCObjective, make_quadratic, make_synthetic_logistic
@@ -23,6 +25,7 @@ from dearest.optimizer import (
 )
 from dearest.topology import (
     build_complete,
+    build_random,
     build_ring,
     gossip_from_laplacian,
     laplacian,
@@ -335,6 +338,34 @@ class TestRun:
         assert len(r1.telemetry) == len(r2.telemetry) == 30
         for a, b in zip(r1.telemetry, r2.telemetry):
             assert a == b
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        m=st.integers(2, 12),
+        graph_seed=st.integers(0, 10_000),
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.tuples(st.integers(1, 60), st.integers(1, 60), st.integers(0, 60)),
+    )
+    def test_replay_is_bitwise_with_cached_and_fresh_polynomials(self, m, graph_seed, seed, rounds):
+        # A second run on the same gossip matrix reuses its cached mixing
+        # polynomials; a third on a rebuilt matrix recomputes them.
+        graph = build_random(m, 0.5, graph_seed)
+        obj = make_quadratic(m, 5, 3, seed=seed % 1000)
+        hat_k, big_k, k_in = sorted(rounds[:2]) + [rounds[2]]
+        cfg = manual_config(m, eta=0.05, big_k=big_k, hat_k=hat_k, k_in=k_in, t_max=12, seed=seed)
+        w = make_w(graph)
+        runs = [run(obj, w, cfg, np.ones(3)), run(obj, w, cfg, np.ones(3)),
+                run(obj, make_w(graph), cfg, np.ones(3))]
+        first = runs[0]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(other.x_out, first.x_out)
+            for name in ("x", "g", "s"):
+                np.testing.assert_array_equal(getattr(other.final_state, name),
+                                              getattr(first.final_state, name))
+            for name in ("ifo_count", "raw_grad_evals", "comm_rounds", "comm_rounds_all_calls"):
+                assert getattr(other.final_state, name) == getattr(first.final_state, name)
+            assert other.telemetry == first.telemetry
+        assert set(w.polynomials) <= {big_k, hat_k, k_in}
 
     def test_output_seed_changes_draw(self):
         obj = make_quadratic(4, 6, 3, seed=13)

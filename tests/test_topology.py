@@ -1,4 +1,4 @@
-"""Graph builders, Laplacians, the Jacobi eigensolver, and gossip matrices."""
+"""Graph builders, Laplacians, LAPACK-backed spectra, and gossip matrices."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dearest.topology import (
-    EigensolverError,
     GossipMatrixError,
     Graph,
     TopologyError,
@@ -15,7 +14,6 @@ from dearest.topology import (
     build_ring,
     gossip_from_laplacian,
     gossip_from_matrix,
-    jacobi_eigenvalues,
     laplacian,
     read_graph_file,
     spectral_gap,
@@ -29,22 +27,33 @@ from dearest.topology import (
 RANDOM_20_EDGE_MEAN = 31.27
 
 
-def charpoly_eigenvalues(a):
-    """Eigenvalue oracle: Faddeev-LeVerrier characteristic polynomial + roots.
+def w_spectrum(g):
+    """Eigenvalues of g's gossip matrix, ascending, from its cached LAPACK spectrum."""
+    return gossip_from_laplacian(laplacian(g)).spectrum[0]
 
-    Independent of the Jacobi path; fine for n <= 8 where the coefficient
-    growth stays tame.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    mk = np.zeros_like(a)
-    for k in range(1, n + 1):
-        mk = a @ (mk + coeffs[k - 1] * np.eye(n))
-        coeffs[k] = -np.trace(mk) / k
-    roots = np.roots(coeffs)
-    return np.sort(roots.real)
+
+def w_closed_form(mu):
+    """W = I - L/lambda1(L) maps Laplacian eigenvalues mu to 1 - mu/max(mu)."""
+    mu = np.asarray(mu, dtype=float)
+    return np.sort(1.0 - mu / mu.max())
+
+
+def build_random_loop(m, prob, seed):
+    """Reference for build_random's edge draw: one pair at a time, i < j in order."""
+    for attempt in range(1000):
+        draws = np.random.default_rng(seed + attempt).random(m * (m - 1) // 2)
+        edges = set()
+        k = 0
+        for i in range(m):
+            for j in range(i + 1, m):
+                if draws[k] < prob:
+                    edges.add((i, j))
+                k += 1
+        try:
+            return Graph(m, frozenset(edges))
+        except TopologyError:
+            continue
+    raise AssertionError("reference sampler found no connected graph")
 
 
 class TestGraphBuilders:
@@ -89,6 +98,20 @@ class TestGraphBuilders:
         g = build_random(20, 0.15, seed=3)
         w = gossip_from_laplacian(laplacian(g))
         assert 1e-3 < w.gap < 0.5
+
+    @pytest.mark.parametrize(
+        "m, prob, seed", [(2, 0.5, 0), (5, 0.3, 4), (12, 0.25, 7), (20, 0.15, 3), (37, 0.6, 91)]
+    )
+    def test_random_matches_loop_reference(self, m, prob, seed):
+        assert build_random(m, prob, seed).edges == build_random_loop(m, prob, seed).edges
+
+    def test_degrees_and_adjacency(self):
+        g = Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (3, 4)}))
+        np.testing.assert_array_equal(g.degrees(), [3, 1, 1, 2, 1])
+        a = g.adjacency()
+        np.testing.assert_array_equal(a, a.T)
+        assert {(int(i), int(j)) for i, j in np.argwhere(np.triu(a))} == g.edges
+        assert a.sum() == 2 * g.n_edges
 
     def test_random_invalid_prob(self):
         with pytest.raises(TopologyError):
@@ -152,12 +175,14 @@ class TestLaplacian:
         assert np.all(np.diag(lap) == 2.0)
         # eigenvalues 2 - 2 cos(2 pi k / m)
         expected = np.sort([2.0 - 2.0 * math.cos(2.0 * math.pi * k / 4) for k in range(4)])
-        np.testing.assert_allclose(jacobi_eigenvalues(lap), expected, atol=1e-10)
+        np.testing.assert_allclose(w_spectrum(build_ring(4)), w_closed_form(expected), atol=1e-10)
 
     def test_complete_m3_closed_form(self):
         lap = laplacian(build_complete(3))
         np.testing.assert_array_equal(lap, 3.0 * np.eye(3) - np.ones((3, 3)))
-        np.testing.assert_allclose(jacobi_eigenvalues(lap), [0.0, 3.0, 3.0], atol=1e-10)
+        np.testing.assert_allclose(
+            w_spectrum(build_complete(3)), w_closed_form([0.0, 3.0, 3.0]), atol=1e-10
+        )
 
     def test_rows_sum_to_zero(self):
         lap = laplacian(build_random(12, 0.3, seed=2))
@@ -165,45 +190,57 @@ class TestLaplacian:
 
 
 class TestJacobi:
-    def test_agrees_with_charpoly_oracle_small(self):
-        rng = np.random.default_rng(0)
-        for n in range(2, 9):
-            base = rng.standard_normal((n, n))
-            a = 0.5 * (base + base.T)
-            np.testing.assert_allclose(
-                jacobi_eigenvalues(a), charpoly_eigenvalues(a), atol=1e-8
-            )
+    """Closed-form spectra, checked on the LAPACK path (``GossipMatrix.spectrum``
+    and the lambda2 that ``gossip_from_laplacian`` finds).
+
+    The class name is kept from the retired cyclic-Jacobi solver so that these
+    cases keep their test ids.
+    """
+
+    @staticmethod
+    def assert_spectrum(g, mu):
+        expected = w_closed_form(mu)
+        np.testing.assert_allclose(w_spectrum(g), expected, atol=1e-12)
+        assert gossip_from_laplacian(laplacian(g)).lambda2 == pytest.approx(expected[-2], abs=1e-12)
 
     def test_agrees_with_cycle_closed_form(self):
         for m in (3, 5, 8, 20):
-            expected = np.sort([2.0 - 2.0 * math.cos(2.0 * math.pi * k / m) for k in range(m)])
-            np.testing.assert_allclose(
-                jacobi_eigenvalues(laplacian(build_ring(m))), expected, atol=1e-9
+            self.assert_spectrum(
+                build_ring(m), [2.0 - 2.0 * math.cos(2.0 * math.pi * k / m) for k in range(m)]
             )
 
     def test_agrees_with_complete_closed_form(self):
         for m in (2, 3, 7):
-            expected = np.sort([0.0] + [float(m)] * (m - 1))
-            np.testing.assert_allclose(
-                jacobi_eigenvalues(laplacian(build_complete(m))), expected, atol=1e-9
-            )
+            self.assert_spectrum(build_complete(m), [0.0] + [float(m)] * (m - 1))
 
     def test_path_graph_closed_form(self):
         # path on m vertices: eigenvalues 2 - 2 cos(pi k / m)
         m = 6
         g = Graph(m, frozenset((i, i + 1) for i in range(m - 1)))
-        expected = np.sort([2.0 - 2.0 * math.cos(math.pi * k / m) for k in range(m)])
-        np.testing.assert_allclose(jacobi_eigenvalues(laplacian(g)), expected, atol=1e-9)
+        self.assert_spectrum(g, [2.0 - 2.0 * math.cos(math.pi * k / m) for k in range(m)])
 
     def test_rejects_non_symmetric(self):
+        bad = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(GossipMatrixError, match="symmetric"):
-            jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            gossip_from_laplacian(bad)
+        with pytest.raises(GossipMatrixError, match="symmetric"):
+            gossip_from_matrix(bad)
 
-    def test_sweep_limit_raises(self):
-        rng = np.random.default_rng(1)
-        base = rng.standard_normal((6, 6))
-        with pytest.raises(EigensolverError, match="sweeps"):
-            jacobi_eigenvalues(0.5 * (base + base.T), max_sweeps=1)
+    def test_ring_400_gap_closed_form(self):
+        w = gossip_from_laplacian(laplacian(build_ring(400)))
+        expected = (1.0 - math.cos(2.0 * math.pi / 400)) / 2.0
+        assert w.gap == pytest.approx(expected, abs=1e-12)
+        assert w.lambda2 == pytest.approx(1.0 - expected, abs=1e-12)
+
+    def test_spectrum_is_cached_read_only_and_reconstructs_w(self):
+        w = gossip_from_laplacian(laplacian(build_random(15, 0.3, seed=4)))
+        lam, v = w.spectrum
+        assert w.spectrum is w.spectrum
+        np.testing.assert_allclose((v * lam) @ v.T, w.w, atol=1e-13)
+        np.testing.assert_allclose(v.T @ v, np.eye(15), atol=1e-13)
+        assert lam[-2] == pytest.approx(w.lambda2, abs=1e-12)
+        with pytest.raises(ValueError):
+            v[0, 0] = 1.0
 
 
 class TestGossipMatrix:
@@ -215,9 +252,7 @@ class TestGossipMatrix:
 
     def test_cycle_m4_spectrum(self):
         w = gossip_from_laplacian(laplacian(build_ring(4)))
-        np.testing.assert_allclose(
-            jacobi_eigenvalues(w.w), [0.0, 0.5, 0.5, 1.0], atol=1e-10
-        )
+        np.testing.assert_allclose(w.spectrum[0], [0.0, 0.5, 0.5, 1.0], atol=1e-10)
         assert w.lambda2 == pytest.approx(0.5, abs=1e-12)
 
     def test_cycle_m20_gap_closed_form(self):
@@ -245,10 +280,12 @@ class TestGossipMatrix:
                 for j in range(i + 1, g.m):
                     if (i, j) not in g.edges:
                         assert w.w[i, j] == 0.0
-            ev = jacobi_eigenvalues(w.w)
+            ev = w.spectrum[0]
             assert ev[0] >= -1e-10
             assert abs(ev[-1] - 1.0) <= 1e-10
             assert ev[-2] <= 1.0 - 1e-12  # simple top eigenvalue iff connected
+            again = gossip_from_matrix(np.asarray(w.w), graph=g)
+            assert again.lambda2 == pytest.approx(w.lambda2, abs=1e-12)
 
     def test_rejects_disconnected_laplacian(self):
         lap = np.array(
@@ -270,6 +307,27 @@ class TestGossipMatrix:
 
         with pytest.raises(GossipMatrixError, match="non-edge"):
             gossip_from_matrix(np.full((4, 4), 0.25), graph=g)
+
+    def test_non_edge_check_names_first_offending_pair(self):
+        # Ring 0-1-2-3-4-0: (0, 2), (0, 3), (1, 3), (1, 4) and (2, 4) are
+        # non-edges.  Two of them carry weight; the first in row-major order
+        # is reported.
+        g = build_ring(5)
+        w = np.asarray(gossip_from_laplacian(laplacian(g)).w).copy()
+        for i, j, x in ((1, 3, 0.125), (2, 4, 0.0625)):
+            w[i, j] = w[j, i] = x
+            w[i, i] -= x
+            w[j, j] -= x
+        with pytest.raises(GossipMatrixError, match=r"0\.125\) on non-edge \(1, 3\)"):
+            gossip_from_matrix(w, graph=g)
+
+    @pytest.mark.parametrize("build", [gossip_from_laplacian, gossip_from_matrix, spectral_gap])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, build, bad):
+        a = laplacian(build_ring(4)) if build is gossip_from_laplacian else np.full((4, 4), 0.25)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(GossipMatrixError, match="non-finite"):
+            build(a)
 
     def test_raw_matrix_rejects_identity(self):
         # W = I has a repeated unit eigenvalue (no mixing at all)
