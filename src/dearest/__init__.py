@@ -16,7 +16,7 @@ from .metrics import (
     local_estimation_error,
     lyapunov,
 )
-from .mixing import MixResult, chebyshev_momentum, fastmix
+from .mixing import chebyshev_momentum, fastmix
 from .objectives import (
     FiniteSumObjective,
     LogisticNCObjective,
@@ -60,7 +60,6 @@ __all__ = [
     "Graph",
     "IterateHistory",
     "LogisticNCObjective",
-    "MixResult",
     "Partition",
     "QuadraticObjective",
     "RunConfig",

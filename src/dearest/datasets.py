@@ -3,9 +3,9 @@
 Each line of a LIBSVM file is ``label idx:val idx:val ...`` with 1-based,
 strictly increasing feature indices and finite values.  Labels must be one
 of {0, 1, -1, +1} and are normalized to {-1, +1} ({0, 1} files map 0 to -1).
-Features stay sparse internally (index/value pairs per sample) because
-dimensions can run to tens of thousands; ``shard_matrices`` assembles
-per-agent CSR matrices.
+A parsed file is one CSR matrix with a row per sample, because dimensions
+can run to tens of thousands; ``shard_matrices`` gathers each agent's rows
+from it.
 
 Partitioning shuffles all sample indices with a seeded permutation and deals
 them out as m contiguous blocks of n = floor(N/m); the remainder is dropped
@@ -15,6 +15,7 @@ so every agent holds exactly n samples.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,21 +42,21 @@ _VALID_LABELS = {1.0: 1.0, -1.0: -1.0, 0.0: -1.0}
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Sparse samples: per-sample 0-based index/value arrays plus +-1 labels."""
+    """Sparse samples: a CSR matrix with one row per sample, plus +-1 labels."""
 
-    feature_indices: tuple[np.ndarray, ...]
-    feature_values: tuple[np.ndarray, ...]
+    features: sp.csr_matrix
     labels: np.ndarray
-    d: int
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return len(self.labels)
+        return self.features.shape[0]
 
     def dense_row(self, j: int) -> np.ndarray:
-        row = np.zeros(self.d)
-        row[self.feature_indices[j]] = self.feature_values[j]
-        return row
+        return self.features[j].toarray().ravel()
 
 
 @dataclass(frozen=True)
@@ -86,25 +87,23 @@ def parse_libsvm(path: str | Path, d_override: int | None = None) -> SampleSet:
         text = path.read_text()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset file {path}: {exc}") from exc
-    indices: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    labels: list[float] = []
+    indptr = array("q", [0])
+    indices = array("q")
+    values = array("d")
+    labels = array("d")
     max_index = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             label = float(tokens[0])
         except ValueError:
             raise DatasetError(f"{path}:{lineno}: label {tokens[0]!r} is not numeric") from None
         if label not in _VALID_LABELS:
             raise DatasetError(f"{path}:{lineno}: label {tokens[0]!r} is outside {{0, 1, -1, +1}}")
-        idx = np.empty(len(tokens) - 1, dtype=np.int64)
-        val = np.empty(len(tokens) - 1, dtype=float)
         prev = 0
-        for k, tok in enumerate(tokens[1:]):
+        for tok in tokens[1:]:
             part = tok.split(":")
             if len(part) != 2:
                 raise DatasetError(f"{path}:{lineno}: expected 'index:value', got {tok!r}")
@@ -115,39 +114,36 @@ def parse_libsvm(path: str | Path, d_override: int | None = None) -> SampleSet:
                 raise DatasetError(f"{path}:{lineno}: non-numeric token {tok!r}") from None
             if not math.isfinite(value):
                 raise DatasetError(f"{path}:{lineno}: non-finite feature value in {tok!r}")
-            val[k] = value
             if one_based <= prev:
                 raise DatasetError(
                     f"{path}:{lineno}: feature index {one_based} is not strictly increasing"
                 )
             prev = one_based
-            idx[k] = one_based - 1
-        if prev > max_index:
-            max_index = prev
-        indices.append(idx)
-        values.append(val)
+            indices.append(one_based - 1)
+            values.append(value)
+        max_index = max(max_index, prev)
+        indptr.append(len(indices))
         labels.append(_VALID_LABELS[label])
     d = max_index if d_override is None else int(d_override)
     if d_override is not None and max_index > d_override:
         raise DatasetError(
             f"{path}: feature index {max_index} exceeds the requested dimension {d_override}"
         )
-    return SampleSet(
-        feature_indices=tuple(indices),
-        feature_values=tuple(values),
-        labels=np.array(labels),
-        d=d,
+    features = sp.csr_matrix(
+        (np.array(values), np.array(indices), np.array(indptr)), shape=(len(labels), d)
     )
+    return SampleSet(features=features, labels=np.array(labels))
 
 
 def write_libsvm(samples: SampleSet, path: str | Path) -> None:
     """Emit LIBSVM text that ``parse_libsvm`` reads back to an equal SampleSet."""
+    f = samples.features
     lines = []
     for j in range(samples.n_samples):
         label = "+1" if samples.labels[j] > 0 else "-1"
+        lo, hi = f.indptr[j], f.indptr[j + 1]
         feats = " ".join(
-            f"{int(i) + 1}:{float(v)!r}"
-            for i, v in zip(samples.feature_indices[j], samples.feature_values[j])
+            f"{int(i) + 1}:{float(v)!r}" for i, v in zip(f.indices[lo:hi], f.data[lo:hi])
         )
         lines.append(f"{label} {feats}".rstrip())
     Path(path).write_text("\n".join(lines) + "\n")
@@ -179,26 +175,14 @@ def shard_matrices(
     ``normalize`` rescales each sample to unit Euclidean norm (zero rows are
     left untouched); default is the raw file values.
     """
-    features: list[sp.csr_matrix] = []
-    labels: list[np.ndarray] = []
-    for shard in part.shards:
-        indptr = np.zeros(len(shard) + 1, dtype=np.int64)
-        cols = []
-        vals = []
-        for row, j in enumerate(shard):
-            idx = samples.feature_indices[j]
-            val = samples.feature_values[j]
-            if normalize:
-                norm = np.linalg.norm(val)
-                if norm > 0.0:
-                    val = val / norm
-            cols.append(idx)
-            vals.append(val)
-            indptr[row + 1] = indptr[row] + len(idx)
-        data = np.concatenate(vals) if vals else np.empty(0)
-        col_idx = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        features.append(
-            sp.csr_matrix((data, col_idx, indptr), shape=(len(shard), samples.d))
+    features = samples.features
+    if normalize:
+        norms = np.sqrt(features.multiply(features).sum(axis=1).A1)
+        norms[norms == 0.0] = 1.0
+        features = sp.csr_matrix(
+            (features.data / np.repeat(norms, np.diff(features.indptr)),
+             features.indices, features.indptr),
+            shape=features.shape,
         )
-        labels.append(samples.labels[shard].copy())
-    return features, labels
+    return ([features[shard] for shard in part.shards],
+            [samples.labels[shard] for shard in part.shards])

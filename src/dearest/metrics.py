@@ -64,20 +64,21 @@ class TelemetryRecord:
     comm_cum: int
 
 
-def _estimator_gap(state: "AggregateState", obj: FiniteSumObjective) -> np.ndarray:
-    return state.g - obj.grad_rows(state.x)
+def _estimation_errors(state: "AggregateState", obj: FiniteSumObjective) -> tuple[float, float]:
+    """(u_t, v_t): the global and local estimation errors, from one ``grad_rows`` pass."""
+    gap = state.g - obj.grad_rows(state.x)
+    mean_gap = gap.mean(axis=0)
+    return float(mean_gap @ mean_gap), float(np.sum(gap * gap)) / gap.shape[0]
 
 
 def global_estimation_error(state: "AggregateState", obj: FiniteSumObjective) -> float:
     """Squared norm of the mean estimator error across agents."""
-    mean_gap = _estimator_gap(state, obj).mean(axis=0)
-    return float(mean_gap @ mean_gap)
+    return _estimation_errors(state, obj)[0]
 
 
 def local_estimation_error(state: "AggregateState", obj: FiniteSumObjective) -> float:
     """Mean squared per-agent estimator error (realized, not an expectation)."""
-    gap = _estimator_gap(state, obj)
-    return float(np.sum(gap * gap)) / state.g.shape[0]
+    return _estimation_errors(state, obj)[1]
 
 
 def consensus_error(state: "AggregateState", cfg: "RunConfig") -> float:
@@ -108,10 +109,7 @@ def record(
     f_bar and the gradient norm.
     """
     m = state.x.shape[0]
-    gap = _estimator_gap(state, obj)
-    mean_gap = gap.mean(axis=0)
-    u = float(mean_gap @ mean_gap)
-    v = float(np.sum(gap * gap)) / m
+    u, v = _estimation_errors(state, obj)
     c = consensus_error(state, cfg)
     x_bar = state.x.mean(axis=0)
     f_bar, grad = obj.global_value_and_grad(x_bar)

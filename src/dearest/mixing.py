@@ -29,25 +29,16 @@ W's eigenvectors, and a run uses at most three values of k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import GossipMatrix
 
-__all__ = ["MixResult", "MixingError", "chebyshev_momentum", "fastmix"]
+__all__ = ["MixingError", "chebyshev_momentum", "fastmix"]
 
 
 class MixingError(ValueError):
     """Invalid input to the consensus subroutine."""
-
-
-@dataclass(frozen=True)
-class MixResult:
-    """Mixed aggregate and the number of communication rounds spent."""
-
-    u: np.ndarray
-    rounds_used: int
 
 
 def chebyshev_momentum(lambda2: float) -> float:
@@ -83,7 +74,7 @@ def _mixing_polynomial(w: GossipMatrix, k: int, eta_u: float) -> np.ndarray:
     return poly
 
 
-def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> MixResult:
+def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> np.ndarray:
     """Apply k rounds of momentum gossip to the rows of u0.
 
     Starting from u(-1) = u(0) = u0, each round computes
@@ -105,6 +96,5 @@ def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> MixResult:
         raise MixingError(f"round count must be a nonnegative integer, got {k!r}")
     eta_u = chebyshev_momentum(w.lambda2)
     if k == 0:
-        return MixResult(u=u.copy(), rounds_used=0)
-    k = int(k)
-    return MixResult(u=_mixing_polynomial(w, k, eta_u) @ u, rounds_used=k)
+        return u.copy()
+    return _mixing_polynomial(w, int(k), eta_u) @ u

@@ -267,9 +267,15 @@ class LogisticNCObjective(FiniteSumObjective):
         reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
         return lin + reg
 
-    def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def _global_value_and_margins(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         z = self._y * np.asarray(self._x @ x).ravel()
-        value = float(np.mean(_stable_logistic_loss(z))) + _regularizer_value(x, self.lambda_reg)
+        return float(np.mean(_stable_logistic_loss(z))) + _regularizer_value(x, self.lambda_reg), z
+
+    def global_value(self, x: np.ndarray) -> float:
+        return self._global_value_and_margins(x)[0]
+
+    def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, z = self._global_value_and_margins(x)
         coef = -(self._y * expit(-z)) / self._y.size
         grad = np.asarray(self._x.T @ coef).ravel() + _regularizer_grad(x, self.lambda_reg)
         return value, grad
@@ -280,8 +286,13 @@ class LogisticNCObjective(FiniteSumObjective):
         # regularizer (|d^2/dx^2 of x^2/(1+x^2)| peaks at 2).
         x = self._x
         if sp.issparse(x):
-            squares = _sparse_view(sp.csr_matrix, x.shape, x.data * x.data, x.indices, x.indptr)
-            row_sq = squares @ np.ones(self.d)
+            # Agent block by agent block, so that no temporary is the size
+            # of the whole data.
+            ones = np.ones(self.d)
+            row_sq = np.concatenate([
+                _sparse_view(sp.csr_matrix, f.shape, f.data * f.data, f.indices, f.indptr) @ ones
+                for f in self.features
+            ])
         else:
             row_sq = np.einsum("kd,kd->k", x, x)
         ell = (row_sq / 4.0 + 2.0 * self.lambda_reg).reshape(self.m, self.n)

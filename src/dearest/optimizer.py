@@ -20,6 +20,11 @@ Communication is counted both ways: ``comm_rounds`` charges the per-step
 round count K_t once (the iterate and tracker mixes can share gossip
 messages in a deployment), ``comm_rounds_all_calls`` charges every gossip
 call separately (2 K_t per step).
+
+Output rule: the returned point is one iterate row drawn uniformly over all
+(t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``
+resolves each seed registered before the run to its pair and keeps only
+those rows, never the trajectory.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-DEFAULT_HISTORY_BUDGET_BYTES = 1 << 26
 
 
 class ConfigError(ValueError):
@@ -254,7 +258,7 @@ def init(
         raise ConfigError(f"{len(cfg.agent_seeds)} agent seeds for {obj.m} agents")
     x0 = np.tile(x0_bar, (obj.m, 1))
     g0 = obj.grad_rows(x0)
-    s0 = fastmix(g0, w, cfg.k_in).u
+    s0 = fastmix(g0, w, cfg.k_in)
     return AggregateState(
         x=x0,
         g=g0,
@@ -308,9 +312,9 @@ def step(
     """
     y_t = 1 if state.shared_rng.random() < cfg.p else 0
     k_t = cfg.big_k if y_t else cfg.hat_k
-    x_next = fastmix(state.x - cfg.eta * state.s, w, k_t).u
+    x_next = fastmix(state.x - cfg.eta * state.s, w, k_t)
     g_next = estimator_update(state, obj, cfg, y_t, x_next)
-    s_next = fastmix(state.s + (g_next - state.g), w, k_t).u
+    s_next = fastmix(state.s + (g_next - state.g), w, k_t)
     if not (np.isfinite(x_next).all() and np.isfinite(s_next).all()):
         raise DivergenceError(f"non-finite iterate or tracker at iteration {state.t}")
     if np.max(np.abs(x_next)) > DIVERGENCE_LIMIT:
@@ -335,36 +339,22 @@ def step(
 class IterateHistory:
     """Uniform output draws over all (iteration, agent) pairs of a run.
 
-    In full mode every iterate matrix is snapshotted (kept while the
-    estimated footprint fits ``budget_bytes``) and any seed can be drawn
-    after the run.  Otherwise only the rows targeted by the seeds registered
-    up front are captured, which realizes the same uniform rule without
-    storing the trajectory; drawing an unregistered seed then fails.
-    Both modes resolve a seed to the same (t, i) pair.
+    Each seed resolves to one (t, i) pair, uniform over all m * t_max pairs.
+    Only the rows selected by the seeds registered up front are captured, so
+    the output rule is realized without storing the trajectory; drawing an
+    unregistered seed fails.
     """
 
-    def __init__(
-        self,
-        m: int,
-        d: int,
-        t_max: int,
-        *,
-        budget_bytes: int = DEFAULT_HISTORY_BUDGET_BYTES,
-        output_seeds: tuple[int, ...] = (),
-    ) -> None:
+    def __init__(self, m: int, t_max: int, output_seeds: tuple[int, ...]) -> None:
         if t_max < 1:
             raise ConfigError("the output rule needs at least one iterate: t_max >= 1")
         self.m = m
-        self.d = d
         self.t_max = t_max
-        self.full = t_max * m * d * 8 <= budget_bytes
-        self._snaps: list[np.ndarray] = []
         self._captured: dict[int, np.ndarray] = {}
-        self._wanted_by_t: dict[int, list[int]] = {}
-        if not self.full:
-            for s in output_seeds:
-                t, _ = self.pair_for_seed(s)
-                self._wanted_by_t.setdefault(t, []).append(int(s))
+        self._wanted_by_t: dict[int, list[tuple[int, int]]] = {}
+        for s in dict.fromkeys(int(s) for s in output_seeds):
+            t, agent = self.pair_for_seed(s)
+            self._wanted_by_t.setdefault(t, []).append((s, agent))
 
     def pair_for_seed(self, seed: int) -> tuple[int, int]:
         """(iteration, agent) pair a seed resolves to; uniform over all pairs."""
@@ -372,26 +362,18 @@ class IterateHistory:
         return flat // self.m, flat % self.m
 
     def record(self, t: int, x: np.ndarray) -> None:
-        if self.full:
-            self._snaps.append(x.copy())
-            return
-        for seed in self._wanted_by_t.get(t, ()):
-            _, agent = self.pair_for_seed(seed)
+        for seed, agent in self._wanted_by_t.get(t, ()):
             self._captured[seed] = x[agent].copy()
 
     def draw(self, seed: int) -> np.ndarray:
         """The iterate row selected by this seed's uniform (t, i) draw."""
+        seed = int(seed)
+        if seed in self._captured:
+            return self._captured[seed].copy()
         t, agent = self.pair_for_seed(seed)
-        if self.full:
-            if len(self._snaps) != self.t_max:
-                raise RuntimeError("history is incomplete: run did not record every iteration")
-            return self._snaps[t][agent].copy()
-        if int(seed) not in self._captured:
-            raise KeyError(
-                f"output seed {seed} was not registered before the run "
-                "(low-memory history only captures pre-registered draws)"
-            )
-        return self._captured[int(seed)].copy()
+        if (seed, agent) in self._wanted_by_t.get(t, ()):
+            raise RuntimeError(f"history is incomplete: iteration {t} was never recorded")
+        raise KeyError(f"output seed {seed} was not registered before the run")
 
 
 @dataclass
@@ -411,37 +393,30 @@ def run(
     x0_bar: np.ndarray,
     *,
     telemetry_stride: int = 1,
-    history_budget_bytes: int = DEFAULT_HISTORY_BUDGET_BYTES,
-    output_seeds: tuple[int, ...] | None = None,
-    record_telemetry: bool = True,
+    output_seeds: tuple[int, ...] = (),
 ) -> RunResult:
     """Execute t_max iterations and draw the output uniformly over iterates.
 
     Telemetry (exact diagnostic gradients, never charged to the counters) is
     recorded every ``telemetry_stride`` iterations; the record at iteration t
     describes the state entering the step together with the flag and round
-    count of the step taken from it.  Deterministic: identical config and
-    seeds reproduce telemetry and output bitwise.
+    count of the step taken from it.  ``x_out`` is the draw of
+    ``cfg.output_seed``; ``history`` can also draw every seed in
+    ``output_seeds``.  Deterministic: identical config and seeds reproduce
+    telemetry and output bitwise.
     """
     if cfg.t_max < 1:
         raise ConfigError("t_max must be >= 1: the output set would be empty")
     if telemetry_stride < 1:
         raise ConfigError(f"telemetry stride must be >= 1, got {telemetry_stride}")
-    seeds = (int(cfg.output_seed),) if output_seeds is None else tuple(int(s) for s in output_seeds)
-    if int(cfg.output_seed) not in seeds:
-        seeds = (int(cfg.output_seed),) + seeds
-    history = IterateHistory(
-        obj.m, obj.d, cfg.t_max,
-        budget_bytes=history_budget_bytes,
-        output_seeds=seeds,
-    )
+    history = IterateHistory(obj.m, cfg.t_max, (cfg.output_seed, *output_seeds))
     state = init(obj, w, cfg, x0_bar)
     telemetry: list[_metrics.TelemetryRecord] = []
     for t in range(cfg.t_max):
         history.record(t, state.x)
         before = state
         state = step(state, obj, w, cfg)
-        if record_telemetry and t % telemetry_stride == 0:
+        if t % telemetry_stride == 0:
             telemetry.append(
                 _metrics.record(before, obj, cfg, y_t=state.y_last, k_t=state.k_last)
             )

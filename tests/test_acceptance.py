@@ -94,7 +94,7 @@ def test_c02_fastmix_contraction_bound():
             mean0 = u0.mean(axis=0)
             r0 = np.linalg.norm(u0 - mean0)
             for k in range(1, 31):
-                uk = fastmix(u0, w, k).u
+                uk = fastmix(u0, w, k)
                 drift = np.max(np.abs(uk.mean(axis=0) - mean0) / np.maximum(np.abs(mean0), 1.0))
                 max_drift = max(max_drift, drift)
                 ratio = np.linalg.norm(uk - mean0) / (rate**k * r0)
@@ -241,7 +241,8 @@ def test_c07_desk_scale_convergence():
     obj = make_synthetic_logistic(8, 64, 20, 1e-4, seed=2024)
     w = make_w(build_ring(8))
     cfg = dataclasses.replace(derive_config(obj, w, epsilon, np.zeros(20), seed=0), t_max=20000)
-    res = run(obj, w, cfg, np.zeros(20), record_telemetry=False, output_seeds=tuple(range(20)))
+    res = run(obj, w, cfg, np.zeros(20), telemetry_stride=cfg.t_max,
+              output_seeds=tuple(range(20)))
     norms = [
         float(np.linalg.norm(obj.global_grad(res.history.draw(s)))) for s in range(20)
     ]

@@ -85,9 +85,10 @@ class TestParse:
         assert back.n_samples == original.n_samples
         assert back.d == original.d
         np.testing.assert_array_equal(back.labels, original.labels)
-        for j in range(original.n_samples):
-            np.testing.assert_array_equal(back.feature_indices[j], original.feature_indices[j])
-            np.testing.assert_array_equal(back.feature_values[j], original.feature_values[j])
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(
+                getattr(back.features, name), getattr(original.features, name)
+            )
 
 
 def synthetic_samples(n, d=6, seed=0):
@@ -100,6 +101,20 @@ def synthetic_samples(n, d=6, seed=0):
         label = "+1" if rng.random() < 0.5 else "-1"
         lines.append(f"{label} {feats}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def rows_from_text(text, d):
+    """Dense feature rows and +-1 labels read straight from LIBSVM text."""
+    rows, labels = [], []
+    for line in text.splitlines():
+        label, *pairs = line.split()
+        row = np.zeros(d)
+        for pair in pairs:
+            index, value = pair.split(":")
+            row[int(index) - 1] = float(value)
+        rows.append(row)
+        labels.append(1.0 if float(label) > 0 else -1.0)
+    return rows, labels
 
 
 class TestPartition:
@@ -139,17 +154,17 @@ class TestPartition:
 
 class TestShardMatrices:
     def test_rows_match_samples(self, tmp_path):
-        samples = parse_libsvm(write(tmp_path, synthetic_samples(12, seed=3)), d_override=6)
+        text = synthetic_samples(12, seed=3)
+        samples = parse_libsvm(write(tmp_path, text), d_override=6)
+        rows, row_labels = rows_from_text(text, 6)
         part = partition(samples, 3, seed=1)
         feats, labels = shard_matrices(samples, part)
         assert len(feats) == 3
         for shard, f, lab in zip(part.shards, feats, labels):
             assert f.shape == (4, 6)
             for row, j in enumerate(shard):
-                np.testing.assert_array_equal(
-                    np.asarray(f[row].todense()).ravel(), samples.dense_row(j)
-                )
-                assert lab[row] == samples.labels[j]
+                np.testing.assert_array_equal(f[row].toarray().ravel(), rows[j])
+                assert lab[row] == row_labels[j]
 
     def test_normalize_flag(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, "+1 1:3.0 2:4.0\n-1\n"), d_override=2)
@@ -158,3 +173,14 @@ class TestShardMatrices:
         norms = [np.linalg.norm(np.asarray(f.todense())) for f in feats]
         # one sample has norm 5 -> scaled to 1; the all-zero row stays zero
         assert sorted(round(v, 12) for v in norms) == [0.0, 1.0]
+
+        text = synthetic_samples(12, seed=5)
+        samples = parse_libsvm(write(tmp_path, text, name="many.txt"), d_override=6)
+        rows, _ = rows_from_text(text, 6)
+        part = partition(samples, 3, seed=2)
+        feats, _ = shard_matrices(samples, part, normalize=True)
+        for shard, f in zip(part.shards, feats):
+            for row, j in enumerate(shard):
+                norm = np.linalg.norm(rows[j])
+                expected = rows[j] / norm if norm > 0.0 else rows[j]
+                np.testing.assert_allclose(f[row].toarray().ravel(), expected, rtol=1e-15, atol=0.0)

@@ -117,8 +117,8 @@ class TestConsensusError:
         s = rng.standard_normal((8, 4))
         before = consensus_error(raw_state(x, s.copy(), s), cfg)
         k = 40
-        x_mixed = fastmix(x, w, k).u
-        s_mixed = fastmix(s, w, k).u
+        x_mixed = fastmix(x, w, k)
+        s_mixed = fastmix(s, w, k)
         after = consensus_error(raw_state(x_mixed, s_mixed.copy(), s_mixed), cfg)
         rate = 1.0 - math.sqrt(w.gap)
         assert after <= rate ** (2 * k) * before

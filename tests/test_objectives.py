@@ -121,6 +121,7 @@ class TestLogisticGradients:
         assert obj.global_value(x) == pytest.approx(
             np.mean([obj.local_value(i, x) for i in range(obj.m)]), rel=1e-12
         )
+        assert obj.global_value(x) == obj.global_value_and_grad(x)[0]
 
     def test_batch_grad_mean_matches_loop(self):
         obj = tiny_logistic(n=6)

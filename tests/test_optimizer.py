@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dearest.metrics import global_estimation_error, local_estimation_error
@@ -34,6 +34,15 @@ from dearest.topology import (
 
 def make_w(graph):
     return gossip_from_laplacian(laplacian(graph))
+
+
+# Connected graphs on up to 8 agents: rings, complete graphs and G(m, 0.5)
+# samples (build_random resamples until connected).
+graphs = st.one_of(
+    st.integers(3, 8).map(build_ring),
+    st.integers(2, 8).map(build_complete),
+    st.builds(lambda m, seed: build_random(m, 0.5, seed), st.integers(2, 8), st.integers(0, 10_000)),
+)
 
 
 def manual_config(m, *, eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50,
@@ -253,11 +262,16 @@ class TestStep:
             state = step(state, obj, w, cfg)
         assert np.max(np.abs(state.x - x0)) <= 1e-12
 
-    def test_tracking_identities_along_run(self):
-        obj = make_synthetic_logistic(5, 10, 4, 1e-4, seed=6)
-        w = make_w(build_ring(5))
-        cfg = manual_config(5, eta=1.0 / (2.0 * obj.smoothness), b=3, p=0.3)
-        state = init(obj, w, cfg, np.zeros(4))
+    @settings(max_examples=15, deadline=None)
+    @given(graph=graphs, d=st.integers(1, 6), data_seed=st.integers(0, 1000),
+           cfg_seed=st.integers(0, 2**32 - 1))
+    @example(graph=build_ring(5), d=4, data_seed=6, cfg_seed=0)
+    def test_tracking_identities_along_run(self, graph, d, data_seed, cfg_seed):
+        m = graph.m
+        obj = make_synthetic_logistic(m, 10, d, 1e-4, seed=data_seed)
+        w = make_w(graph)
+        cfg = manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=3, p=0.3, seed=cfg_seed)
+        state = init(obj, w, cfg, np.zeros(d))
         for _ in range(60):
             x_bar = state.x.mean(axis=0)
             s_bar = state.s.mean(axis=0)
@@ -282,16 +296,22 @@ class TestStep:
             x_gd = x_gd - eta * obj.global_grad(x_gd)
             state = step(state, obj, w, cfg)
 
-    def test_counter_law_exact(self):
-        obj = make_synthetic_logistic(4, 9, 3, 1e-4, seed=8)
-        w = make_w(build_ring(4))
-        cfg = manual_config(4, b=2, p=0.4, big_k=5, hat_k=2, k_in=3, t_max=80)
-        state = init(obj, w, cfg, np.zeros(3))
-        ys = []
+    @settings(max_examples=15, deadline=None)
+    @given(graph=graphs, d=st.integers(1, 6), data_seed=st.integers(0, 1000),
+           cfg_seed=st.integers(0, 2**32 - 1))
+    @example(graph=build_ring(4), d=3, data_seed=8, cfg_seed=0)
+    def test_counter_law_exact(self, graph, d, data_seed, cfg_seed):
+        m = graph.m
+        obj = make_synthetic_logistic(m, 9, d, 1e-4, seed=data_seed)
+        w = make_w(graph)
+        cfg = manual_config(m, b=2, p=0.4, big_k=5, hat_k=2, k_in=3, t_max=80, seed=cfg_seed)
+        state = init(obj, w, cfg, np.zeros(d))
         for _ in range(80):
             state = step(state, obj, w, cfg)
-            ys.append(state.y_last)
-        m, n, b = obj.m, obj.n, cfg.b
+        # the refresh flags, replayed from the shared stream
+        shared = np.random.default_rng(cfg.shared_seed)
+        ys = [1 if shared.random() < cfg.p else 0 for _ in range(80)]
+        n, b = obj.n, cfg.b
         expected_ifo = m * n + sum(m * n if y else m * b for y in ys)
         expected_raw = m * n + sum(m * n if y else 2 * m * b for y in ys)
         expected_comm = cfg.k_in + sum(cfg.big_k if y else cfg.hat_k for y in ys)
@@ -371,24 +391,30 @@ class TestRun:
         obj = make_quadratic(4, 6, 3, seed=13)
         w = make_w(build_ring(4))
         cfg = manual_config(4, t_max=40)
-        res = run(obj, w, cfg, np.zeros(3))
+        res = run(obj, w, cfg, np.zeros(3), output_seeds=(cfg.output_seed + 1,))
         alt = res.history.draw(cfg.output_seed + 1)
         assert res.history.pair_for_seed(cfg.output_seed) != res.history.pair_for_seed(
             cfg.output_seed + 1
         ) or np.array_equal(res.x_out, alt)
 
-    def test_low_memory_history_matches_full(self):
+    def test_registered_draws_match_hand_loop(self):
         obj = make_synthetic_logistic(4, 8, 3, 1e-4, seed=14)
         w = make_w(build_ring(4))
         cfg = manual_config(4, t_max=25)
-        seeds = (cfg.output_seed, 101, 202, 303)
-        full = run(obj, w, cfg, np.zeros(3), output_seeds=seeds)
-        slim = run(obj, w, cfg, np.zeros(3), output_seeds=seeds, history_budget_bytes=0)
-        assert full.history.full and not slim.history.full
-        for s in seeds:
-            np.testing.assert_array_equal(full.history.draw(s), slim.history.draw(s))
+        seeds = (101, 202, 303)
+        res = run(obj, w, cfg, np.zeros(3), output_seeds=seeds)
+        # every iterate x_0 .. x_{t_max - 1}, from init/step directly
+        state = init(obj, w, cfg, np.zeros(3))
+        iterates = []
+        for _ in range(cfg.t_max):
+            iterates.append(state.x)
+            state = step(state, obj, w, cfg)
+        for s in (cfg.output_seed, *seeds):
+            t, i = res.history.pair_for_seed(s)
+            np.testing.assert_array_equal(res.history.draw(s), iterates[t][i])
+        np.testing.assert_array_equal(res.x_out, res.history.draw(cfg.output_seed))
         with pytest.raises(KeyError, match="not registered"):
-            slim.history.draw(999)
+            res.history.draw(999)
 
     def test_telemetry_stride(self):
         obj = make_quadratic(3, 5, 2, seed=15)
@@ -414,7 +440,7 @@ class TestRun:
         w = make_w(build_ring(4))
         cfg = derive_config(obj, w, 1e-3, np.zeros(10), seed=0)
         cfg = dataclasses.replace(cfg, t_max=4000)
-        res = run(obj, w, cfg, np.zeros(10), record_telemetry=False,
+        res = run(obj, w, cfg, np.zeros(10), telemetry_stride=cfg.t_max,
                   output_seeds=tuple(range(20)))
         x_star = obj.solution()
         final = res.final_state.x.mean(axis=0)
@@ -436,7 +462,7 @@ class TestRun:
 
 class TestIterateHistory:
     def test_pair_mapping_uniform_range(self):
-        hist = IterateHistory(3, 2, 7)
+        hist = IterateHistory(3, 7, ())
         seen = set()
         for seed in range(200):
             t, i = hist.pair_for_seed(seed)
@@ -444,8 +470,12 @@ class TestIterateHistory:
             seen.add((t, i))
         assert len(seen) == 21  # every pair reachable
 
-    def test_incomplete_full_history_refuses_draws(self):
-        hist = IterateHistory(2, 2, 5)
+    def test_unrecorded_iteration_refuses_draw(self):
+        seeds = tuple(range(40))
+        hist = IterateHistory(2, 5, seeds)
         hist.record(0, np.zeros((2, 2)))
+        late = next(s for s in seeds if hist.pair_for_seed(s)[0] > 0)
         with pytest.raises(RuntimeError, match="incomplete"):
-            hist.draw(0)
+            hist.draw(late)
+        early = next(s for s in seeds if hist.pair_for_seed(s)[0] == 0)
+        np.testing.assert_array_equal(hist.draw(early), np.zeros(2))
