@@ -5,8 +5,10 @@ components and its local function is their average; the global function is
 the average of the local ones.  The optimizer touches component gradients
 (the costed oracle) in two shapes only: full local gradients, one row per
 agent (``grad_rows``), and the cheap-step paired difference of mini-batch
-means for all agents at once (``paired_batch_diff``).  Exact global values
-and gradients exist for diagnostics.
+means for all agents at once.  A chunk of C cheap steps shares one row
+gather: ``gather`` takes their (C, m, b) indices and ``batch_diff`` computes
+step c, bitwise the same for every C; ``paired_batch_diff`` is one step.
+Exact global values and gradients exist for diagnostics.
 
 Two concrete instances:
 
@@ -14,7 +16,8 @@ Two concrete instances:
   regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  The per-agent features,
   dense ndarrays or scipy CSR matrices, are stacked once into one (m*n, d)
   matrix with agent i's rows at offset i*n; all evaluation paths are
-  overflow-safe.
+  overflow-safe.  A cheap step is batched ``matmul`` on dense data and three
+  ``np.bincount`` calls over the gathered nonzeros on CSR data.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests.
 """
@@ -42,8 +45,8 @@ class FiniteSumObjective(abc.ABC):
     """Average of m local functions, each an average of n components.
 
     Subclasses set ``m``, ``n``, ``d`` and implement the component oracle,
-    the full local gradient, the fused paired mini-batch difference and the
-    exact global value and gradient.
+    the full local gradient, the gathered paired mini-batch difference and
+    the exact global value and gradient.
     """
 
     m: int
@@ -62,14 +65,26 @@ class FiniteSumObjective(abc.ABC):
     def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         """Gradient of agent i's local function (the mean of its n components)."""
 
-    @abc.abstractmethod
-    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        """Paired mini-batch differences for all agents at once, shape (m, d).
+    def gather(self, idx: np.ndarray) -> object:
+        """One batch of what a (C, m, b) index array samples: C steps, m agents.
 
-        ``idx`` is an (m, b) matrix of component indices.  Row i is the mean,
-        over ``idx[i]`` counted with multiplicity, of grad f_ij(x_new[i]) -
-        grad f_ij(x_old[i]).
+        By default the batch is the indices, and ``batch_diff`` reads step c's
+        components itself.
         """
+        return idx
+
+    def batch_nbytes(self, b: int) -> int:
+        """About how many bytes ``gather`` holds per step at mini-batch size b."""
+        return 8 * self.m * b
+
+    @abc.abstractmethod
+    def batch_diff(self, batch: object, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        """Step c's paired differences, (m, d): row i is the mean, over idx[c, i]
+        with multiplicity, of grad f_ij(x_new[i]) - grad f_ij(x_old[i])."""
+
+    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        """``batch_diff`` of one step, from an (m, b) index matrix."""
+        return self.batch_diff(self.gather(np.asarray(idx)[None]), 0, x_new, x_old)
 
     @abc.abstractmethod
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -120,14 +135,6 @@ def _sparse_view(container: type, shape: tuple[int, int], data: np.ndarray, indi
     mat = container(shape, dtype=data.dtype)
     mat.data, mat.indices, mat.indptr = data, indices, indptr
     return mat
-
-
-def _agent_dots(f: np.ndarray | sp.csr_matrix, x: np.ndarray, b: int) -> np.ndarray:
-    """Dot product of each row k of f with row k // b of x; f holds m*b rows."""
-    if sp.issparse(f):
-        row = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))
-        return np.bincount(row, f.data * x[row // b, f.indices], minlength=f.shape[0])
-    return (f.reshape(x.shape[0], b, -1) @ x[:, :, None]).ravel()
 
 
 class LogisticNCObjective(FiniteSumObjective):
@@ -206,15 +213,6 @@ class LogisticNCObjective(FiniteSumObjective):
             return np.asarray(f[j].todense()).ravel()
         return f[j]
 
-    def _margins(self, i: int, x: np.ndarray, indices: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        f = self.features[i]
-        lab = self.labels[i]
-        if indices is not None:
-            f = f[indices]
-            lab = lab[indices]
-        z = lab * np.asarray(f @ x).ravel()
-        return z, lab
-
     def component_value(self, i: int, j: int, x: np.ndarray) -> float:
         z = self.labels[i][j] * float(self._row(i, j) @ x)
         return float(_stable_logistic_loss(np.asarray(z))) + _regularizer_value(x, self.lambda_reg)
@@ -225,47 +223,56 @@ class LogisticNCObjective(FiniteSumObjective):
         z = b * float(a @ x)
         return -b * float(expit(-z)) * a + _regularizer_grad(x, self.lambda_reg)
 
-    def local_value(self, i: int, x: np.ndarray) -> float:
-        z, _ = self._margins(i, x)
-        return float(np.mean(_stable_logistic_loss(z))) + _regularizer_value(x, self.lambda_reg)
-
     def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        z, lab = self._margins(i, x)
+        lab = self.labels[i]
+        z = lab * np.asarray(self.features[i] @ x).ravel()
         coef = -(lab * expit(-z)) / self.n
         lin = np.asarray(self._features_t[i] @ coef).ravel()
         return lin + _regularizer_grad(x, self.lambda_reg)
 
-    def batch_grad_mean(self, i: int, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Mean component gradient of agent i over ``indices`` (with multiplicity).
-
-        The per-agent reference for ``paired_batch_diff``.
-        """
-        indices = np.asarray(indices, dtype=np.intp)
-        z, lab = self._margins(i, x, indices)
-        coef = -(lab * expit(-z)) / len(indices)
-        fsub = self.features[i][indices]
-        lin = np.asarray(fsub.T @ coef).ravel()
-        return lin + _regularizer_grad(x, self.lambda_reg)
-
-    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        # One gather of the m*b sampled rows serves both margins; the
-        # coefficient differences are summed back per agent by one sparse
-        # agent-selector product.
-        m, b = idx.shape
+    def gather(self, idx: np.ndarray) -> tuple:
+        # Labels, then dense rows or, per CSR nonzero: value, flat index
+        # agent * d + column, row within the step; and each step's start.
+        steps, m, b = idx.shape
         rows = (idx + self._starts[:, None]).ravel()
-        f = self._x[rows]
-        lab = self._y[rows]
-        z_new = lab * _agent_dots(f, x_new, b)
-        z_old = lab * _agent_dots(f, x_old, b)
-        coef = lab * (expit(-z_old) - expit(-z_new)) / b
-        selector = sp.csr_matrix(
-            (coef, np.arange(m * b), np.arange(0, m * b + 1, b)), shape=(m, m * b)
-        )
-        lin = selector @ f
-        if sp.issparse(lin):
-            lin = lin.toarray()
+        lab = self._y[rows].reshape(steps, m * b)
+        x = self._x
+        if not sp.issparse(x):
+            return lab, x[rows].reshape(steps, m, b, self.d)
+        counts = x.indptr[rows + 1] - x.indptr[rows]
+        ends = np.cumsum(counts)
+        pos = np.repeat(x.indptr[rows] - ends + counts, counts)
+        pos += np.arange(pos.size)
+        row = np.repeat(np.arange(rows.size) % (m * b), counts)
+        flat = row // b
+        flat *= self.d
+        flat += x.indices[pos]
+        return lab, x.data[pos], flat, row, np.concatenate(([0], ends[m * b - 1::m * b]))
+
+    def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        m, d = x_new.shape
+        lab = batch[0][c]
+        b = lab.size // m
+        if not sp.issparse(self._x):
+            f, lab = batch[1][c], lab.reshape(m, b)
+            z_new = lab * (f @ x_new[:, :, None])[:, :, 0]
+            z_old = lab * (f @ x_old[:, :, None])[:, :, 0]
+            lin = (lab * (expit(-z_old) - expit(-z_new)) / b)[:, None, :] @ f
+        else:
+            lo, hi = batch[4][c], batch[4][c + 1]
+            data, flat, row = batch[1][lo:hi], batch[2][lo:hi], batch[3][lo:hi]
+            z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=m * b)
+            z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=m * b)
+            coef = lab * (expit(-z_old) - expit(-z_new)) / b
+            lin = np.bincount(flat, data * coef[row], minlength=m * d)
         reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
-        return lin + reg
+        return lin.reshape(m, d) + reg
+
+    def batch_nbytes(self, b: int) -> int:
+        # A label per row, and d values or 24 bytes per CSR nonzero.
+        x = self._x
+        per_row = 8 + (24 * x.nnz / x.shape[0] if sp.issparse(x) else 8 * self.d)
+        return math.ceil(self.m * b * per_row)
 
     def _global_value_and_margins(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         z = self._y * np.asarray(self._x @ x).ravel()
@@ -337,35 +344,33 @@ class QuadraticObjective(FiniteSumObjective):
     def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.a[i, j].T @ (self.a[i, j] @ x - self.c[i, j])
 
-    def local_value(self, i: int, x: np.ndarray) -> float:
-        r = np.einsum("jqd,d->jq", self.a[i], x) - self.c[i]
-        return 0.5 * float(np.sum(r * r)) / self.n
-
     def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         r = np.einsum("jqd,d->jq", self.a[i], x) - self.c[i]
         return np.einsum("jqd,jq->d", self.a[i], r) / self.n
 
-    def batch_grad_mean(self, i: int, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Mean component gradient of agent i over ``indices`` (with multiplicity).
+    def grad_rows(self, x: np.ndarray) -> np.ndarray:
+        r = np.einsum("ijqd,id->ijq", self.a, x) - self.c
+        return np.einsum("ijqd,ijq->id", self.a, r) / self.n
 
-        The per-agent reference for ``paired_batch_diff``.
-        """
-        indices = np.asarray(indices, dtype=np.intp)
-        asub = self.a[i, indices]
-        r = np.einsum("jqd,d->jq", asub, x) - self.c[i, indices]
-        return np.einsum("jqd,jq->d", asub, r) / len(indices)
+    def batch_diff(self, batch: np.ndarray, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        # The batch is the indices: a chunk of (q, d) blocks would outgrow
+        # the optimizer's chunk budget.  The residual difference is
+        # A_ij (x_new - x_old): c cancels.
+        asub = self.a[np.arange(self.m)[:, None], batch[c]]
+        m, b, q, d = asub.shape
+        r = asub @ (x_new - x_old)[:, None, :, None]
+        return (r.reshape(m, 1, b * q) @ asub.reshape(m, b * q, d))[:, 0] / b
 
-    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        # The residual difference is A_ij (x_new - x_old): c cancels.
-        asub = self.a[np.arange(self.m)[:, None], idx]
-        r = np.einsum("ibqd,id->ibq", asub, x_new - x_old)
-        return np.einsum("ibqd,ibq->id", asub, r) / idx.shape[1]
+    def _global_value_and_residuals(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        r = np.einsum("ijqd,d->ijq", self.a, x) - self.c
+        return 0.5 * float(np.sum(r * r)) / (self.m * self.n), r
+
+    def global_value(self, x: np.ndarray) -> float:
+        return self._global_value_and_residuals(x)[0]
 
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        count = self.m * self.n
-        r = np.einsum("ijqd,d->ijq", self.a, x) - self.c
-        value = 0.5 * float(np.sum(r * r)) / count
-        return value, np.einsum("ijqd,ijq->d", self.a, r) / count
+        value, r = self._global_value_and_residuals(x)
+        return value, np.einsum("ijqd,ijq->d", self.a, r) / (self.m * self.n)
 
     def _smoothness_bound(self) -> float:
         ell = np.linalg.norm(self.a, 2, axis=(-2, -1)) ** 2

@@ -21,6 +21,13 @@ round count K_t once (the iterate and tracker mixes can share gossip
 messages in a deployment), ``comm_rounds_all_calls`` charges every gossip
 call separately (2 K_t per step).
 
+Randomness: ``step`` draws a refresh flag from the shared stream and, on a
+cheap step, b indices from each agent's stream.  ``run`` draws the same
+numbers ahead: all t_max flags in one call, then per chunk of C cheap steps
+(C from the byte budget ``_CHUNK_BYTES``) one call per agent, in agent
+order, and one row gather.  The last chunk holds the steps left, so every
+stream ends where a loop of ``step`` leaves it: the run is bitwise that loop.
+
 Output rule: the returned point is one iterate row drawn uniformly over all
 (t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``
 resolves each seed registered before the run to its pair and keeps only
@@ -30,6 +37,7 @@ those rows, never the trajectory.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +63,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
+# About how many bytes one gathered chunk of cheap steps may hold.
+_CHUNK_BYTES = 2**21
 
 
 class ConfigError(ValueError):
@@ -275,6 +285,33 @@ def init(
     )
 
 
+def _draw_batch(rngs: tuple[np.random.Generator, ...], obj: FiniteSumObjective, b: int,
+                steps: int) -> object:
+    """The next ``steps`` cheap steps' indices, one draw per agent stream, gathered."""
+    return obj.gather(np.stack([rng.integers(0, obj.n, size=(steps, b)) for rng in rngs], 1))
+
+
+def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray, batch: object,
+              c: int) -> np.ndarray:
+    """Exact local gradients (``batch`` None), else step c of a gathered batch."""
+    if batch is None:
+        return obj.grad_rows(x_next)
+    return state.g + obj.batch_diff(batch, c, x_next, state.x)
+
+
+def _cheap_batches(rngs: tuple[np.random.Generator, ...], obj: FiniteSumObjective, b: int,
+                   count: int) -> Iterator[tuple[object, int]]:
+    """(batch, c) for each of ``count`` cheap steps, drawn and gathered by chunks."""
+    chunk = max(1, _CHUNK_BYTES // obj.batch_nbytes(b))
+    for start in range(0, count, chunk):
+        steps = min(chunk, count - start)
+        batch = _draw_batch(rngs, obj, b, steps)
+        yield from ((batch, c) for c in range(steps))
+        # Free the spent chunk before the next is gathered; callers hold no
+        # reference to it either.
+        del batch
+
+
 def estimator_update(
     state: AggregateState,
     obj: FiniteSumObjective,
@@ -287,33 +324,26 @@ def estimator_update(
     y_t = 1: exact local gradients at the new iterates.  y_t = 0: each agent
     draws b sample indices uniformly with replacement from its private
     stream, in agent order, and adds the mean paired gradient difference to
-    its previous estimate; one ``paired_batch_diff`` call serves all agents.
+    its previous estimate; one gathered batch serves all agents.
     Consumes the per-agent streams; counters are updated by ``step``.
     """
-    if y_t:
-        return obj.grad_rows(x_next)
-    idx = np.stack([rng.integers(0, obj.n, size=cfg.b) for rng in state.agent_rngs])
-    return state.g + obj.paired_batch_diff(idx, x_next, state.x)
+    batch = None if y_t else _draw_batch(state.agent_rngs, obj, cfg.b, 1)
+    return _estimate(state, obj, x_next, batch, 0)
 
 
-def step(
+def _advance(
     state: AggregateState,
     obj: FiniteSumObjective,
     w: GossipMatrix,
     cfg: RunConfig,
+    batch: object,
+    c: int,
 ) -> AggregateState:
-    """One barrier-synchronized round: mix the descent step, update estimators,
-    mix the tracker difference.
-
-    The shared Bernoulli draw picks the refresh flag and with it the round
-    count K_t (big_k on refresh, hat_k otherwise); both gossip calls of the
-    step use K_t rounds.  Raises DivergenceError when any entry goes
-    non-finite or beyond 1e12.
-    """
-    y_t = 1 if state.shared_rng.random() < cfg.p else 0
+    """A refresh step (``batch`` None) or a cheap one on step c of ``batch``."""
+    y_t = 1 if batch is None else 0
     k_t = cfg.big_k if y_t else cfg.hat_k
     x_next = fastmix(state.x - cfg.eta * state.s, w, k_t)
-    g_next = estimator_update(state, obj, cfg, y_t, x_next)
+    g_next = _estimate(state, obj, x_next, batch, c)
     s_next = fastmix(state.s + (g_next - state.g), w, k_t)
     if not (np.isfinite(x_next).all() and np.isfinite(s_next).all()):
         raise DivergenceError(f"non-finite iterate or tracker at iteration {state.t}")
@@ -334,6 +364,25 @@ def step(
         y_last=y_t,
         k_last=k_t,
     )
+
+
+def step(
+    state: AggregateState,
+    obj: FiniteSumObjective,
+    w: GossipMatrix,
+    cfg: RunConfig,
+) -> AggregateState:
+    """One barrier-synchronized round: mix the descent step, update estimators,
+    mix the tracker difference.
+
+    The shared Bernoulli draw picks the refresh flag and with it the round
+    count K_t (big_k on refresh, hat_k otherwise); both gossip calls of the
+    step use K_t rounds.  Raises DivergenceError when any entry goes
+    non-finite or beyond 1e12.
+    """
+    y_t = 1 if state.shared_rng.random() < cfg.p else 0
+    batch = None if y_t else _draw_batch(state.agent_rngs, obj, cfg.b, 1)
+    return _advance(state, obj, w, cfg, batch, 0)
 
 
 class IterateHistory:
@@ -411,11 +460,13 @@ def run(
         raise ConfigError(f"telemetry stride must be >= 1, got {telemetry_stride}")
     history = IterateHistory(obj.m, cfg.t_max, (cfg.output_seed, *output_seeds))
     state = init(obj, w, cfg, x0_bar)
+    flags = state.shared_rng.random(size=cfg.t_max) < cfg.p
+    cheap = _cheap_batches(state.agent_rngs, obj, cfg.b, cfg.t_max - int(np.count_nonzero(flags)))
     telemetry: list[_metrics.TelemetryRecord] = []
     for t in range(cfg.t_max):
         history.record(t, state.x)
         before = state
-        state = step(state, obj, w, cfg)
+        state = _advance(state, obj, w, cfg, *((None, 0) if flags[t] else next(cheap)))
         if t % telemetry_stride == 0:
             telemetry.append(
                 _metrics.record(before, obj, cfg, y_t=state.y_last, k_t=state.k_last)

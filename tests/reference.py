@@ -1,0 +1,126 @@
+"""Plain reference versions of what ``dearest`` computes in stacked form.
+
+Each function here is written per agent, per sample or per gossip round, as
+directly from the definitions as possible, so that the fast paths in
+``src/`` can be checked against it:
+
+* ``local_value`` and ``batch_grad_mean`` -- one agent's local value and
+  mini-batch mean gradient, for both objectives;
+* ``reference_fastmix`` -- the accelerated-gossip momentum recursion, round
+  by round;
+* ``reference_run`` -- a whole DEAREST run: per agent and round by round,
+  with scalar flag draws and ``size=b`` index draws from the same streams as
+  ``dearest.optimizer``.
+
+Only tests import this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import expit
+
+from dearest.mixing import chebyshev_momentum
+from dearest.objectives import QuadraticObjective
+
+
+def _regularizer_value(x, lam):
+    return lam * float(np.sum(x * x / (1.0 + x * x)))
+
+
+def _regularizer_grad(x, lam):
+    return lam * 2.0 * x / (1.0 + x * x) ** 2
+
+
+def local_value(obj, i, x):
+    """Agent i's local function: the mean of its n component values."""
+    if isinstance(obj, QuadraticObjective):
+        r = np.einsum("jqd,d->jq", obj.a[i], x) - obj.c[i]
+        return 0.5 * float(np.sum(r * r)) / obj.n
+    z = obj.labels[i] * np.asarray(obj.features[i] @ x).ravel()
+    return float(np.mean(np.logaddexp(0.0, -z))) + _regularizer_value(x, obj.lambda_reg)
+
+
+def batch_grad_mean(obj, i, indices, x):
+    """Mean component gradient of agent i over ``indices``, with multiplicity."""
+    indices = np.asarray(indices, dtype=np.intp)
+    if isinstance(obj, QuadraticObjective):
+        asub = obj.a[i, indices]
+        r = np.einsum("jqd,d->jq", asub, x) - obj.c[i, indices]
+        return np.einsum("jqd,jq->d", asub, r) / len(indices)
+    f = obj.features[i][indices]
+    lab = obj.labels[i][indices]
+    z = lab * np.asarray(f @ x).ravel()
+    coef = -(lab * expit(-z)) / len(indices)
+    return np.asarray(f.T @ coef).ravel() + _regularizer_grad(x, obj.lambda_reg)
+
+
+def reference_fastmix(u0, w, k):
+    """k rounds of u(j+1) = (1 + eta_u) W u(j) - eta_u u(j-1), from u(-1) = u(0) = u0."""
+    eta_u = chebyshev_momentum(w.lambda2)
+    prev = cur = np.asarray(u0, dtype=float)
+    for _ in range(k):
+        prev, cur = cur, (1.0 + eta_u) * (w.w @ cur) - eta_u * prev
+    return cur.copy()
+
+
+@dataclass
+class ReferenceRun:
+    """Final state, output draw, refresh flags, counters and streams of a run."""
+
+    x: np.ndarray
+    g: np.ndarray
+    s: np.ndarray
+    x_out: np.ndarray
+    flags: list
+    ifo_count: int
+    raw_grad_evals: int
+    comm_rounds: int
+    comm_rounds_all_calls: int
+    shared_rng: np.random.Generator
+    agent_rngs: list
+
+
+def reference_run(obj, w, cfg, x0_bar):
+    """DEAREST for cfg.t_max iterations, one agent and one gossip round at a time.
+
+    Every iteration draws its flag with one scalar ``random()`` from the
+    shared stream; on a cheap step each agent, in order, draws b indices with
+    one ``integers(0, n, size=b)`` call from its own stream.  The output is
+    the iterate row at the (t, i) pair that ``cfg.output_seed`` draws
+    uniformly from the m * t_max pairs.
+    """
+    m, n, b = obj.m, obj.n, cfg.b
+    shared = np.random.default_rng(cfg.shared_seed)
+    agents = [np.random.default_rng(s) for s in cfg.agent_seeds]
+    t_out, i_out = divmod(int(np.random.default_rng(cfg.output_seed).integers(m * cfg.t_max)), m)
+    x = np.tile(np.asarray(x0_bar, dtype=float), (m, 1))
+    g = np.stack([obj.local_grad(i, x[i]) for i in range(m)])
+    s = reference_fastmix(g, w, cfg.k_in)
+    ifo = raw = m * n
+    comm = comm_all = cfg.k_in
+    flags, x_out = [], None
+    for t in range(cfg.t_max):
+        if t == t_out:
+            x_out = x[i_out].copy()
+        y = 1 if shared.random() < cfg.p else 0
+        k = cfg.big_k if y else cfg.hat_k
+        x_new = reference_fastmix(x - cfg.eta * s, w, k)
+        g_new = np.empty_like(g)
+        for i in range(m):
+            if y:
+                g_new[i] = obj.local_grad(i, x_new[i])
+            else:
+                idx = agents[i].integers(0, n, size=b)
+                g_new[i] = g[i] + (batch_grad_mean(obj, i, idx, x_new[i])
+                                   - batch_grad_mean(obj, i, idx, x[i]))
+        s = reference_fastmix(s + (g_new - g), w, k)
+        x, g = x_new, g_new
+        flags.append(y)
+        ifo += m * (n if y else b)
+        raw += m * (n if y else 2 * b)
+        comm += k
+        comm_all += 2 * k
+    return ReferenceRun(x, g, s, x_out, flags, ifo, raw, comm, comm_all, shared, agents)

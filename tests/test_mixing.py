@@ -1,8 +1,8 @@
 """Accelerated gossip: mean preservation, contraction, linearity.
 
 ``fastmix`` applies the cached mixing polynomial P_k(W) in one product.
-``reference_fastmix`` below runs the momentum recursion round by round; it
-is the definition that the fast path is checked against.
+``reference.reference_fastmix`` runs the momentum recursion round by round;
+it is the definition that the fast path is checked against.
 """
 
 import math
@@ -22,6 +22,8 @@ from dearest.topology import (
     laplacian,
 )
 
+from reference import reference_fastmix
+
 
 def make_w(kind, m, **kw):
     builders = {"ring": build_ring, "complete": build_complete, "random": build_random}
@@ -35,15 +37,6 @@ TOPOLOGIES = [
     make_w("complete", 5),
     make_w("random", 20, prob=0.15, seed=1),
 ]
-
-
-def reference_fastmix(u0, w, k):
-    """k rounds of u(j+1) = (1 + eta_u) W u(j) - eta_u u(j-1), from u(-1) = u(0) = u0."""
-    eta_u = chebyshev_momentum(w.lambda2)
-    prev = cur = np.asarray(u0, dtype=float)
-    for _ in range(k):
-        prev, cur = cur, (1.0 + eta_u) * (w.w @ cur) - eta_u * prev
-    return cur.copy()
 
 
 # fastmix against the recursion, as a multiple of max |u0|: both round

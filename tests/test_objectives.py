@@ -15,6 +15,8 @@ from dearest.objectives import (
     make_synthetic_logistic,
 )
 
+from reference import batch_grad_mean, local_value
+
 
 def central_diff_grad(func, x, h=1e-6):
     g = np.zeros_like(x, dtype=float)
@@ -119,7 +121,7 @@ class TestLogisticGradients:
             rtol=1e-12,
         )
         assert obj.global_value(x) == pytest.approx(
-            np.mean([obj.local_value(i, x) for i in range(obj.m)]), rel=1e-12
+            np.mean([local_value(obj, i, x) for i in range(obj.m)]), rel=1e-12
         )
         assert obj.global_value(x) == obj.global_value_and_grad(x)[0]
 
@@ -129,7 +131,7 @@ class TestLogisticGradients:
         x = rng.standard_normal(obj.d)
         idx = np.array([0, 2, 2, 5])  # with replacement
         loop = np.mean([obj.component_grad(0, int(j), x) for j in idx], axis=0)
-        np.testing.assert_allclose(obj.batch_grad_mean(0, idx, x), loop, rtol=1e-12)
+        np.testing.assert_allclose(batch_grad_mean(obj, 0, idx, x), loop, rtol=1e-12)
 
     def test_grad_rows_shape_and_values(self):
         obj = tiny_logistic()
@@ -149,7 +151,7 @@ class TestSparseDenseParity:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(4)
         assert sparse_obj.smoothness == pytest.approx(dense.smoothness, rel=1e-12)
-        assert sparse_obj.local_value(0, x) == pytest.approx(dense.local_value(0, x), rel=1e-12)
+        assert local_value(sparse_obj, 0, x) == pytest.approx(local_value(dense, 0, x), rel=1e-12)
         np.testing.assert_allclose(
             sparse_obj.local_grad(1, x), dense.local_grad(1, x), rtol=1e-12
         )
@@ -158,7 +160,7 @@ class TestSparseDenseParity:
         )
         idx = np.array([1, 1, 4])
         np.testing.assert_allclose(
-            sparse_obj.batch_grad_mean(0, idx, x), dense.batch_grad_mean(0, idx, x), rtol=1e-12
+            batch_grad_mean(sparse_obj, 0, idx, x), batch_grad_mean(dense, 0, idx, x), rtol=1e-12
         )
 
 
@@ -235,7 +237,13 @@ class TestQuadratic:
         x = np.array([0.2, -0.4, 1.0])
         idx = np.array([5, 0, 0])
         loop = np.mean([obj.component_grad(1, int(j), x) for j in idx], axis=0)
-        np.testing.assert_allclose(obj.batch_grad_mean(1, idx, x), loop, rtol=1e-12)
+        np.testing.assert_allclose(batch_grad_mean(obj, 1, idx, x), loop, rtol=1e-12)
+
+    def test_grad_rows_is_the_local_grad_loop(self):
+        obj = make_quadratic(5, 6, 3, seed=8, q=2)
+        x = np.random.default_rng(14).standard_normal((obj.m, obj.d))
+        loop = np.stack([obj.local_grad(i, x[i]) for i in range(obj.m)])
+        np.testing.assert_allclose(obj.grad_rows(x), loop, rtol=1e-13, atol=0)
 
     def test_seeded_determinism(self):
         a = make_quadratic(2, 3, 4, seed=7)
@@ -263,7 +271,7 @@ class TestSyntheticLogistic:
 def loop_paired_diff(obj, idx, x_new, x_old):
     """The per-agent reference: two ``batch_grad_mean`` calls per agent."""
     return np.stack([
-        obj.batch_grad_mean(i, idx[i], x_new[i]) - obj.batch_grad_mean(i, idx[i], x_old[i])
+        batch_grad_mean(obj, i, idx[i], x_new[i]) - batch_grad_mean(obj, i, idx[i], x_old[i])
         for i in range(obj.m)
     ])
 
@@ -391,7 +399,8 @@ class TestStackedLayout:
         obj = fused_instances()[kind]
         x = np.random.default_rng(41).standard_normal(obj.d)
         value, grad = obj.global_value_and_grad(x)
-        assert value == pytest.approx(np.mean([obj.local_value(i, x) for i in range(obj.m)]), rel=1e-12)
+        assert obj.global_value(x) == value
+        assert value == pytest.approx(np.mean([local_value(obj, i, x) for i in range(obj.m)]), rel=1e-12)
         assert_rel_close(grad, np.mean([obj.local_grad(i, x) for i in range(obj.m)], axis=0))
 
 

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dearest.metrics import global_estimation_error, local_estimation_error
+from dearest import optimizer
+from dearest.metrics import global_estimation_error, local_estimation_error, record
 from dearest.objectives import LogisticNCObjective, make_quadratic, make_synthetic_logistic
 from dearest.optimizer import (
     ConfigError,
@@ -30,6 +31,8 @@ from dearest.topology import (
     gossip_from_laplacian,
     laplacian,
 )
+
+from reference import batch_grad_mean, reference_run
 
 
 def make_w(graph):
@@ -242,7 +245,7 @@ class TestFusedEstimatorUpdate:
             for i in range(obj.m):
                 idx = replay[i].integers(0, obj.n, size=cfg.b)
                 reference[i] = state.g[i] + (
-                    obj.batch_grad_mean(i, idx, x_next[i]) - obj.batch_grad_mean(i, idx, state.x[i])
+                    batch_grad_mean(obj, i, idx, x_next[i]) - batch_grad_mean(obj, i, idx, state.x[i])
                 )
             np.testing.assert_allclose(g_next, reference, rtol=1e-12, atol=1e-15)
             state = dataclasses.replace(state, x=x_next, g=g_next)
@@ -479,3 +482,153 @@ class TestIterateHistory:
             hist.draw(late)
         early = next(s for s in seeds if hist.pair_for_seed(s)[0] == 0)
         np.testing.assert_array_equal(hist.draw(early), np.zeros(2))
+
+
+KINDS = ["dense", "csr", "quadratic"]
+
+
+def make_objective(kind, m, n, d, seed):
+    if kind == "quadratic":
+        return make_quadratic(m, n, d, seed=seed, q=2)
+    obj = make_synthetic_logistic(m, n, d, 1e-3, seed=seed)
+    if kind == "csr":
+        obj = LogisticNCObjective([sp.csr_matrix(f) for f in obj.features], obj.labels, obj.lambda_reg)
+    return obj
+
+
+def step_loop(obj, w, cfg, x0):
+    """init/step for cfg.t_max iterations: final state, every iterate, telemetry rows."""
+    state = init(obj, w, cfg, x0)
+    iterates, telemetry = [], []
+    for _ in range(cfg.t_max):
+        iterates.append(state.x)
+        before = state
+        state = step(state, obj, w, cfg)
+        telemetry.append(record(before, obj, cfg, y_t=state.y_last, k_t=state.k_last))
+    return state, iterates, telemetry
+
+
+def cheap_steps(cfg):
+    return int(np.count_nonzero(np.random.default_rng(cfg.shared_seed).random(cfg.t_max) >= cfg.p))
+
+
+def stream_states(state):
+    return [rng.bit_generator.state for rng in (state.shared_rng, *state.agent_rngs)]
+
+
+COUNTERS = ("ifo_count", "raw_grad_evals", "comm_rounds", "comm_rounds_all_calls")
+
+
+class TestChunkedRun:
+    """``run`` draws and gathers cheap steps by chunks; a loop of ``step`` does
+    it one step at a time.  The two must agree bitwise, whatever the chunk."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
+    def test_run_is_bitwise_a_step_loop(self, kind, chunk, monkeypatch):
+        obj = make_objective(kind, 4, 9, 3, seed=50)
+        w = make_w(build_ring(4))
+        cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=52)
+        if chunk is not None:
+            monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
+        # with C = 2 or 3 the last chunk is a short one
+        assert cheap_steps(cfg) % 2 and cheap_steps(cfg) % 3
+        seeds = tuple(range(10))
+        res = run(obj, w, cfg, np.zeros(3), output_seeds=seeds)
+        state, iterates, telemetry = step_loop(obj, w, cfg, np.zeros(3))
+        fs = res.final_state
+        for name in ("x", "g", "s"):
+            np.testing.assert_array_equal(getattr(fs, name), getattr(state, name))
+        for name in COUNTERS:
+            assert getattr(fs, name) == getattr(state, name)
+        assert res.telemetry == telemetry
+        assert stream_states(fs) == stream_states(state)
+        for s in (cfg.output_seed, *seeds):
+            t, i = res.history.pair_for_seed(s)
+            np.testing.assert_array_equal(res.history.draw(s), iterates[t][i])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_divergence_names_the_step_loops_iteration(self, kind):
+        obj = make_objective(kind, 3, 6, 2, seed=52)
+        w = make_w(build_ring(3))
+        # far beyond 2/L; the logistic gradients are bounded, so they need a
+        # much larger step to leave the range
+        scale = 10.0 if kind == "quadratic" else 1e12
+        cfg = manual_config(3, eta=scale / obj.smoothness, b=2, p=0.3, t_max=200, seed=53)
+        with pytest.raises(DivergenceError) as from_loop:
+            step_loop(obj, w, cfg, np.ones(2))
+        with pytest.raises(DivergenceError) as from_run:
+            run(obj, w, cfg, np.ones(2))
+        assert str(from_run.value) == str(from_loop.value)
+        failed_at = int(str(from_run.value).rsplit(" ", 1)[1])
+        # cheap steps come before the failure
+        assert cheap_steps(dataclasses.replace(cfg, t_max=failed_at)) > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
+        # A structural guard: the chunked loop calls each agent's integers()
+        # once per chunk, and builds no scipy CSR matrix.
+        obj = make_objective(kind, 4, 9, 3, seed=54)
+        w = make_w(build_ring(4))
+        cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=55)
+        chunk = 3
+        monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
+        calls = [0] * obj.m
+
+        class CountingRng:
+            def __init__(self, rng, i):
+                self.rng, self.i = rng, i
+
+            def integers(self, *args, **kwargs):
+                calls[self.i] += 1
+                return self.rng.integers(*args, **kwargs)
+
+        real_init = optimizer.init
+
+        def counting_init(*args, **kwargs):
+            state = real_init(*args, **kwargs)
+            rngs = tuple(CountingRng(rng, i) for i, rng in enumerate(state.agent_rngs))
+            return dataclasses.replace(state, agent_rngs=rngs)
+
+        built = []
+        real_csr_init = sp.csr_matrix.__init__
+
+        def counting_csr_init(self, *args, **kwargs):
+            built.append(1)
+            real_csr_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "init", counting_init)
+        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_csr_init)
+        run(obj, w, cfg, np.zeros(3))
+        assert calls == [math.ceil(cheap_steps(cfg) / chunk)] * obj.m
+        assert cheap_steps(cfg) > chunk
+        assert built == []
+
+
+class TestAgainstReference:
+    @settings(max_examples=15, deadline=None)
+    @given(graph=graphs, n=st.integers(2, 12), d=st.integers(1, 5), kind=st.sampled_from(KINDS),
+           chunk=st.sampled_from([1, 2, 3, None]), data_seed=st.integers(0, 1000),
+           cfg_seed=st.integers(0, 2**32 - 1))
+    @example(graph=build_ring(5), n=9, d=3, kind="csr", chunk=2, data_seed=7, cfg_seed=0)
+    def test_run_matches_reference_loop(self, graph, n, d, kind, chunk, data_seed, cfg_seed):
+        m = graph.m
+        obj = make_objective(kind, m, n, d, data_seed)
+        w = make_w(graph)
+        cfg = manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=3, p=0.3, big_k=4, hat_k=2,
+                            k_in=2, t_max=30, seed=cfg_seed)
+        x0 = np.linspace(-1.0, 1.0, d)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
+            res = run(obj, w, cfg, x0)
+        ref = reference_run(obj, w, cfg, x0)
+        fs = res.final_state
+        assert [r.y_t for r in res.telemetry] == ref.flags
+        for name in COUNTERS:
+            assert getattr(fs, name) == getattr(ref, name)
+        assert stream_states(fs) == [rng.bit_generator.state
+                                     for rng in (ref.shared_rng, *ref.agent_rngs)]
+        for got, want in ((fs.x, ref.x), (res.x_out, ref.x_out)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.max(np.abs(fs.s - ref.s)) <= 1e-10 * np.max(np.abs(ref.g))
