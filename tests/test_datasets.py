@@ -1,10 +1,19 @@
 """LIBSVM parsing, emission round-trips, and seeded partitioning."""
 
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dearest import datasets
 from dearest.datasets import (
     DatasetError,
+    SampleSet,
     parse_libsvm,
     partition,
     shard_matrices,
@@ -74,6 +83,29 @@ class TestParse:
     def test_index_beyond_override(self, tmp_path):
         with pytest.raises(DatasetError, match="exceeds"):
             parse_libsvm(write(tmp_path, "+1 7:1.0\n"), d_override=3)
+
+    def test_index_beyond_override_names_its_line(self, tmp_path):
+        path = write(tmp_path, "+1 1:1\n\n-1 2:1 200:1\n+1 300:1\n")
+        with pytest.raises(
+            DatasetError,
+            match=r"data.txt:3: feature index 200 exceeds the requested dimension 123$",
+        ):
+            parse_libsvm(path, d_override=123)
+
+    @pytest.mark.parametrize("index", ["0", "-3"])
+    def test_index_below_one(self, tmp_path, index):
+        path = write(tmp_path, f"-1 2:1\n+1 {index}:1\n")
+        with pytest.raises(
+            DatasetError,
+            match=rf"data.txt:2: feature index {index} is below 1 \(indices are 1-based\)$",
+        ):
+            parse_libsvm(path)
+
+    def test_non_utf8_bytes_name_file_and_offset(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"+1 1:1\n-1 2:\xff\n")
+        with pytest.raises(DatasetError, match=r"data.txt: byte 12 is not UTF-8 text"):
+            parse_libsvm(path)
 
     def test_round_trip(self, tmp_path):
         original = parse_libsvm(
@@ -184,3 +216,168 @@ class TestShardMatrices:
                 norm = np.linalg.norm(rows[j])
                 expected = rows[j] / norm if norm > 0.0 else rows[j]
                 np.testing.assert_allclose(f[row].toarray().ravel(), expected, rtol=1e-15, atol=0.0)
+
+
+def line_parse(path, d_override=None):
+    """The line parser on the file's bytes: the reference for the fast path."""
+    return datasets._parse_lines(path, path.read_bytes(), d_override)
+
+
+def assert_bitwise_equal(got: SampleSet, want: SampleSet):
+    assert got.features.shape == want.features.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.features, name), getattr(want.features, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
+VALUE_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.integers(0, 999).map(lambda k: f".{k}"),
+    st.sampled_from(["1e-3", "2.5E2", "-7e+01", "1E0", "5e-324"]),
+)
+SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Valid LIBSVM text and its largest feature index."""
+    lines, max_index = [], 0
+    for _ in range(draw(st.integers(0, 25))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t"])))
+            continue
+        indices = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
+        tokens = [draw(st.sampled_from(["+1", "-1", "1", "0"]))]
+        tokens += [f"{i}:{draw(VALUE_TEXTS)}" for i in indices]
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for tok in tokens:
+            line += tok + draw(SPACES)
+        lines.append(line if draw(st.booleans()) else line.rstrip())
+        max_index = max([max_index] + indices)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, max_index
+
+
+class TestFastPath:
+    """The blockwise fast path against the line parser it falls back to."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=libsvm_texts(),
+        extra_dims=st.one_of(st.none(), st.integers(0, 5)),
+        block_bytes=st.sampled_from([8, 40, 1 << 18]),
+    )
+    def test_matches_line_parser(self, tmp_path_factory, case, extra_dims, block_bytes):
+        text, max_index = case
+        d_override = None if extra_dims is None else max_index + extra_dims
+        path = tmp_path_factory.mktemp("fast") / "data.txt"
+        path.write_bytes(text.encode())
+        with mock.patch.object(datasets, "_BLOCK_BYTES", block_bytes):
+            # Only CRLF files take the slow path here.
+            assert (datasets._parse_blocks(path.read_bytes(), d_override) is None) == ("\r" in text)
+            got = parse_libsvm(path, d_override)
+        assert_bitwise_equal(got, line_parse(path, d_override))
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", " \t\n\n", "+1", "-1\n\n\n", "  \t\n+1 2:1", "0\t1:.5  3:1e-3\n",
+        "+1 1:1\r\n-1 2:2.5E2\r\n", "1.0 1:1\n",
+    ])
+    def test_edge_cases_match_line_parser(self, tmp_path, text):
+        path = write(tmp_path, text)
+        for d_override in (None, 7):
+            with mock.patch.object(datasets, "_BLOCK_BYTES", 4):
+                got = parse_libsvm(path, d_override)
+            assert_bitwise_equal(got, line_parse(path, d_override))
+
+    def test_write_libsvm_output_takes_fast_path(self, tmp_path):
+        rng = np.random.default_rng(7)
+        dense = rng.standard_normal((300, 50)) * 10.0 ** rng.uniform(-30, 30, (300, 50))
+        dense[rng.random((300, 50)) >= 0.1] = 0.0
+        features = sp.csr_matrix(dense)
+        samples = SampleSet(features, np.where(rng.random(300) < 0.5, 1.0, -1.0))
+        path = tmp_path / "real.txt"
+        write_libsvm(samples, path)
+        assert datasets._parse_blocks(path.read_bytes(), 50) is not None
+        got = parse_libsvm(path, d_override=50)
+        assert_bitwise_equal(got, line_parse(path, 50))
+        np.testing.assert_array_equal(got.features.data, features.data)
+
+    FAULTS = {
+        "label-not-numeric": lambda label, toks, last: ("spam", toks),
+        "label-out-of-range": lambda label, toks, last: ("2", toks),
+        "label-after-feature": lambda label, toks, last: ("1:1", [label]),
+        "two-colons": lambda label, toks, last: (label, toks + ["1:2:3"]),
+        "empty-value": lambda label, toks, last: (label, toks + ["3:"]),
+        "empty-index": lambda label, toks, last: (label, toks + [":3"]),
+        "space-after-colon": lambda label, toks, last: (label, toks + ["1:", "2"]),
+        "float-index": lambda label, toks, last: (label, toks + ["1.0:3"]),
+        "exponent-index": lambda label, toks, last: (label, toks + ["1e0:3"]),
+        "zero-index": lambda label, toks, last: (label, toks + ["0:1"]),
+        "decreasing-index": lambda label, toks, last: (
+            label, toks + [f"{last + 2}:1", f"{last + 1}:1"]),
+        "nan-value": lambda label, toks, last: (label, toks + [f"{last + 1}:nan"]),
+        "inf-value": lambda label, toks, last: (label, toks + [f"{last + 1}:inf"]),
+        "overflowing-value": lambda label, toks, last: (label, toks + [f"{last + 1}:1e999"]),
+        "stray-token": lambda label, toks, last: (label, toks + ["17"]),
+        "beyond-d-override": lambda label, toks, last: (label, toks + ["26:1"]),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_corruption_raises_line_parser_message(self, tmp_path, fault):
+        rng = np.random.default_rng(sorted(self.FAULTS).index(fault))
+        rows = []
+        for _ in range(120):
+            idx = np.sort(rng.choice(20, size=int(rng.integers(0, 5)), replace=False)) + 1
+            rows.append(("+1" if rng.random() < 0.5 else "-1",
+                         [f"{i}:{rng.standard_normal()!r}" for i in idx],
+                         int(idx[-1]) if len(idx) else 0))
+        path = tmp_path / "data.txt"
+        for target in (0, int(rng.integers(1, 119)), 119):
+            lines = []
+            for r, (label, toks, last) in enumerate(rows):
+                if r == target:
+                    label, toks = self.FAULTS[fault](label, toks, last)
+                lines.append(" ".join([label] + toks))
+                if r % 10 == 3:
+                    lines.append("")
+            path.write_text("\n".join(lines) + "\n")
+            lineno = target + 1 + (target + 6) // 10
+            with warnings.catch_warnings(), mock.patch.object(datasets, "_BLOCK_BYTES", 256):
+                warnings.simplefilter("error")
+                with pytest.raises(DatasetError) as fast:
+                    parse_libsvm(path, d_override=25)
+                with pytest.raises(DatasetError) as slow:
+                    line_parse(path, d_override=25)
+            assert str(fast.value) == str(slow.value)
+            assert str(fast.value).startswith(f"{path}:{lineno}: ")
+
+    def test_peak_memory_at_most_line_parser(self, tmp_path):
+        # a9a-shaped: 14 distinct binary features of 123 per row.
+        rng = np.random.default_rng(3)
+        path = tmp_path / "a9a_like.txt"
+        with path.open("w") as fh:
+            for _ in range(16_000):
+                cols = np.sort(rng.choice(123, size=14, replace=False)) + 1
+                fh.write(("+1" if rng.random() < 0.5 else "-1")
+                         + "".join(f" {k}:1" for k in cols) + "\n")
+        assert path.stat().st_size >= 4 * datasets._BLOCK_BYTES
+        assert datasets._parse_blocks(path.read_bytes(), 123) is not None
+        fast, fast_peak = traced_peak(lambda: parse_libsvm(path, 123))
+        slow, slow_peak = traced_peak(lambda: line_parse(path, 123))
+        assert_bitwise_equal(fast, slow)
+        assert fast_peak <= slow_peak, (fast_peak, slow_peak)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
