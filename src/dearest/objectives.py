@@ -14,10 +14,9 @@ Two concrete instances:
 
 * ``LogisticNCObjective`` -- binary logistic loss with the bounded nonconvex
   regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  The per-agent features,
-  dense ndarrays or scipy CSR matrices, are stacked once into one (m*n, d)
-  matrix with agent i's rows at offset i*n; all evaluation paths are
-  overflow-safe.  A cheap step is batched ``matmul`` on dense data and three
-  ``np.bincount`` calls over the gathered nonzeros on CSR data.
+  dense or sparse, are stored once as one block-diagonal (m*n, m*d) CSR
+  matrix, so a full pass for all agents is one sparse product each way and
+  a cheap step three ``np.bincount`` calls over the gathered nonzeros.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests.
 """
@@ -45,8 +44,8 @@ class FiniteSumObjective(abc.ABC):
     """Average of m local functions, each an average of n components.
 
     Subclasses set ``m``, ``n``, ``d`` and implement the component oracle,
-    the full local gradient, the gathered paired mini-batch difference and
-    the exact global value and gradient.
+    the full local gradients of all agents, the gathered paired mini-batch
+    difference and the exact global value and gradient.
     """
 
     m: int
@@ -62,8 +61,8 @@ class FiniteSumObjective(abc.ABC):
         """Gradient of component j on agent i."""
 
     @abc.abstractmethod
-    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Gradient of agent i's local function (the mean of its n components)."""
+    def grad_rows(self, x: np.ndarray) -> np.ndarray:
+        """Local gradients, (m, d): row i is agent i's local gradient at row i of x."""
 
     def gather(self, idx: np.ndarray) -> object:
         """One batch of what a (C, m, b) index array samples: C steps, m agents.
@@ -100,10 +99,6 @@ class FiniteSumObjective(abc.ABC):
     def value_lower_bound(self) -> float:
         """A lower bound on the global infimum (used to bound f(x0) - f*)."""
 
-    def grad_rows(self, x: np.ndarray) -> np.ndarray:
-        """Stack local gradients: row i is grad f_i evaluated at row i of x."""
-        return np.stack([self.local_grad(i, x[i]) for i in range(self.m)])
-
     def global_value(self, x: np.ndarray) -> float:
         return self.global_value_and_grad(x)[0]
 
@@ -125,14 +120,13 @@ def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
     return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _sparse_view(container: type, shape: tuple[int, int], data: np.ndarray, indices: np.ndarray,
-                 indptr: np.ndarray) -> sp.csr_matrix | sp.csc_matrix:
-    """A compressed sparse matrix over the given arrays, without copying them.
+def _sparse_view(ncols: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
+    """A CSR matrix with ``ncols`` columns over the given arrays, without copying them.
 
-    scipy's constructor (and so ``.T``) copies arrays that view a much larger
-    one, which would duplicate the stacked data block by block.
+    scipy's constructor copies index arrays that view a much larger one,
+    which would duplicate the stacked indices block by block.
     """
-    mat = container(shape, dtype=data.dtype)
+    mat = sp.csr_matrix((indptr.size - 1, ncols), dtype=data.dtype)
     mat.data, mat.indices, mat.indptr = data, indices, indptr
     return mat
 
@@ -142,14 +136,15 @@ class LogisticNCObjective(FiniteSumObjective):
 
     Component (i, j) is log(1 + exp(-b_ij * a_ij.x)) + lambda * sum_k
     x_k^2/(1 + x_k^2).  Both terms are nonnegative, so the global infimum is
-    >= 0.  Features are per-agent (n, d) arrays, dense or CSR; labels are
+    >= 0.  Features are per-agent (n, d) arrays, dense or sparse; labels are
     per-agent vectors with entries exactly +1 or -1.
 
-    The shards are stacked once, at construction: into one CSR matrix if any
-    of them is sparse, otherwise into one dense (m*n, d) array, and the
-    labels into one vector; agent i's rows start at i*n.  Only the stacked
-    copy is kept.  ``features`` and ``labels`` are per-agent row blocks that
-    share its memory.
+    The shards are stored once, at construction, as one block-diagonal CSR
+    matrix of shape (m*n, m*d): agent i's rows start at i*n and its columns
+    at i*d, so ``x.ravel()`` of stacked iterates meets each agent's rows with
+    its own row of x.  ``labels`` are views of one label vector; ``features``
+    builds per-agent (n, d) CSR copies on each access.  Evaluation is
+    overflow-safe.
     """
 
     def __init__(
@@ -162,7 +157,7 @@ class LogisticNCObjective(FiniteSumObjective):
             raise ValueError("need one feature matrix and one label vector per agent")
         if not (math.isfinite(lambda_reg) and lambda_reg >= 0.0):
             raise ValueError(f"regularization weight must be finite and >= 0, got {lambda_reg}")
-        feats = [f if sp.issparse(f) else np.asarray(f, dtype=float) for f in features]
+        feats = [f if sp.issparse(f) else sp.csr_matrix(np.asarray(f, dtype=float)) for f in features]
         labs = [np.asarray(lab, dtype=float).ravel() for lab in labels]
         self.m = len(feats)
         self.n, self.d = feats[0].shape
@@ -172,14 +167,10 @@ class LogisticNCObjective(FiniteSumObjective):
                 raise ValueError(f"agent {i} features have shape {f.shape}, expected {(self.n, self.d)}")
             if lab.shape != (self.n,):
                 raise ValueError(f"agent {i} has {lab.shape[0]} labels for {self.n} samples")
-        if any(sp.issparse(f) for f in feats):
-            self._x = sp.vstack(feats, format="csr", dtype=float)
-            bad_rows = np.searchsorted(
-                self._x.indptr, np.flatnonzero(~np.isfinite(self._x.data)), side="right"
-            ) - 1
-        else:
-            self._x = np.concatenate(feats)
-            bad_rows = np.flatnonzero(~np.isfinite(self._x).all(axis=1))
+        if self.m * self.d > np.iinfo(np.int32).max:
+            raise ValueError(f"m*d = {self.m * self.d} columns exceed scipy's int32 index range")
+        x = sp.vstack(feats, format="csr", dtype=float)
+        bad_rows = np.searchsorted(x.indptr, np.flatnonzero(~np.isfinite(x.data)), side="right") - 1
         if bad_rows.size:
             raise ValueError(f"agent {bad_rows[0] // self.n} features are not finite")
         self._y = np.concatenate(labs)
@@ -188,94 +179,73 @@ class LogisticNCObjective(FiniteSumObjective):
             raise ValueError(
                 f"agent {bad[0] // self.n} labels must be exactly +1 or -1, got {self._y[bad[0]]}"
             )
+        for i in range(1, self.m):
+            x.indices[x.indptr[i * self.n]:x.indptr[(i + 1) * self.n]] += i * self.d
+        x.resize((self.m * self.n, self.m * self.d))
+        self._x, self._xt = x, x.T
         self._starts = np.arange(self.m) * self.n
-        blocks = [self._block(i) for i in range(self.m)]
-        self.features = [f for f, _ in blocks]
-        self._features_t = [ft for _, ft in blocks]
         self.labels = [self._y[s:s + self.n] for s in self._starts]
         self._smoothness = self._smoothness_bound()
 
-    def _block(self, i: int) -> tuple[np.ndarray | sp.csr_matrix, np.ndarray | sp.csc_matrix]:
-        """Agent i's rows of the stacked matrix and their transpose, as views."""
-        start, stop = i * self.n, (i + 1) * self.n
-        if not sp.issparse(self._x):
-            block = self._x[start:stop]
-            return block, block.T
-        x = self._x
-        lo, hi = x.indptr[start], x.indptr[stop]
-        arrays = (x.data[lo:hi], x.indices[lo:hi], x.indptr[start:stop + 1] - lo)
-        return (_sparse_view(sp.csr_matrix, (self.n, self.d), *arrays),
-                _sparse_view(sp.csc_matrix, (self.d, self.n), *arrays))
+    @property
+    def features(self) -> list[sp.csr_matrix]:
+        """Per-agent (n, d) feature matrices: CSR copies of the diagonal blocks."""
+        return [self._x[s:s + self.n, i * self.d:(i + 1) * self.d] for i, s in enumerate(self._starts)]
 
     def _row(self, i: int, j: int) -> np.ndarray:
-        f = self.features[i]
-        if sp.issparse(f):
-            return np.asarray(f[j].todense()).ravel()
-        return f[j]
+        x, k = self._x, i * self.n + j
+        lo, hi = x.indptr[k], x.indptr[k + 1]
+        return np.bincount(x.indices[lo:hi] - i * self.d, x.data[lo:hi], minlength=self.d)
 
     def component_value(self, i: int, j: int, x: np.ndarray) -> float:
-        z = self.labels[i][j] * float(self._row(i, j) @ x)
+        z = self._y[i * self.n + j] * float(self._row(i, j) @ x)
         return float(_stable_logistic_loss(np.asarray(z))) + _regularizer_value(x, self.lambda_reg)
 
     def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        b = self.labels[i][j]
+        b = self._y[i * self.n + j]
         a = self._row(i, j)
         z = b * float(a @ x)
         return -b * float(expit(-z)) * a + _regularizer_grad(x, self.lambda_reg)
 
-    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        lab = self.labels[i]
-        z = lab * np.asarray(self.features[i] @ x).ravel()
-        coef = -(lab * expit(-z)) / self.n
-        lin = np.asarray(self._features_t[i] @ coef).ravel()
-        return lin + _regularizer_grad(x, self.lambda_reg)
+    def grad_rows(self, x: np.ndarray) -> np.ndarray:
+        z = self._y * (self._x @ x.ravel())
+        coef = -(self._y * expit(-z)) / self.n
+        return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
     def gather(self, idx: np.ndarray) -> tuple:
-        # Labels, then dense rows or, per CSR nonzero: value, flat index
-        # agent * d + column, row within the step; and each step's start.
+        # Labels; per nonzero: value, intp column in the layout (agent * d
+        # + feature), row within the step; and each step's start.
         steps, m, b = idx.shape
         rows = (idx + self._starts[:, None]).ravel()
         lab = self._y[rows].reshape(steps, m * b)
         x = self._x
-        if not sp.issparse(x):
-            return lab, x[rows].reshape(steps, m, b, self.d)
         counts = x.indptr[rows + 1] - x.indptr[rows]
         ends = np.cumsum(counts)
         pos = np.repeat(x.indptr[rows] - ends + counts, counts)
         pos += np.arange(pos.size)
         row = np.repeat(np.arange(rows.size) % (m * b), counts)
-        flat = row // b
-        flat *= self.d
-        flat += x.indices[pos]
+        flat = x.indices[pos].astype(np.intp, copy=False)
         return lab, x.data[pos], flat, row, np.concatenate(([0], ends[m * b - 1::m * b]))
 
     def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         m, d = x_new.shape
         lab = batch[0][c]
         b = lab.size // m
-        if not sp.issparse(self._x):
-            f, lab = batch[1][c], lab.reshape(m, b)
-            z_new = lab * (f @ x_new[:, :, None])[:, :, 0]
-            z_old = lab * (f @ x_old[:, :, None])[:, :, 0]
-            lin = (lab * (expit(-z_old) - expit(-z_new)) / b)[:, None, :] @ f
-        else:
-            lo, hi = batch[4][c], batch[4][c + 1]
-            data, flat, row = batch[1][lo:hi], batch[2][lo:hi], batch[3][lo:hi]
-            z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=m * b)
-            z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=m * b)
-            coef = lab * (expit(-z_old) - expit(-z_new)) / b
-            lin = np.bincount(flat, data * coef[row], minlength=m * d)
+        lo, hi = batch[4][c], batch[4][c + 1]
+        data, flat, row = batch[1][lo:hi], batch[2][lo:hi], batch[3][lo:hi]
+        z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=m * b)
+        z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=m * b)
+        coef = lab * (expit(-z_old) - expit(-z_new)) / b
+        lin = np.bincount(flat, data * coef[row], minlength=m * d)
         reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
         return lin.reshape(m, d) + reg
 
     def batch_nbytes(self, b: int) -> int:
-        # A label per row, and d values or 24 bytes per CSR nonzero.
-        x = self._x
-        per_row = 8 + (24 * x.nnz / x.shape[0] if sp.issparse(x) else 8 * self.d)
-        return math.ceil(self.m * b * per_row)
+        # A label per row and 24 bytes per nonzero.
+        return math.ceil(self.m * b * (8 + 24 * self._x.nnz / self._x.shape[0]))
 
     def _global_value_and_margins(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        z = self._y * np.asarray(self._x @ x).ravel()
+        z = self._y * (self._x @ np.tile(x, self.m))
         return float(np.mean(_stable_logistic_loss(z))) + _regularizer_value(x, self.lambda_reg), z
 
     def global_value(self, x: np.ndarray) -> float:
@@ -284,24 +254,21 @@ class LogisticNCObjective(FiniteSumObjective):
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         value, z = self._global_value_and_margins(x)
         coef = -(self._y * expit(-z)) / self._y.size
-        grad = np.asarray(self._x.T @ coef).ravel() + _regularizer_grad(x, self.lambda_reg)
-        return value, grad
+        lin = (self._xt @ coef).reshape(self.m, self.d).sum(axis=0)
+        return value, lin + _regularizer_grad(x, self.lambda_reg)
 
     def _smoothness_bound(self) -> float:
         # Per-component Lipschitz constant: ||a||^2 / 4 from the logistic
         # term (sigmoid curvature peaks at 1/4) plus 2*lambda from the
-        # regularizer (|d^2/dx^2 of x^2/(1+x^2)| peaks at 2).
-        x = self._x
-        if sp.issparse(x):
-            # Agent block by agent block, so that no temporary is the size
-            # of the whole data.
-            ones = np.ones(self.d)
-            row_sq = np.concatenate([
-                _sparse_view(sp.csr_matrix, f.shape, f.data * f.data, f.indices, f.indptr) @ ones
-                for f in self.features
-            ])
-        else:
-            row_sq = np.einsum("kd,kd->k", x, x)
+        # regularizer (|d^2/dx^2 of x^2/(1+x^2)| peaks at 2).  Squared one
+        # agent's rows at a time, so that no temporary is the size of the
+        # whole data.
+        x, n, starts, ones = self._x, self.n, self._starts, np.ones(self._x.shape[1])
+        row_sq = np.concatenate([
+            _sparse_view(ones.size, x.data[lo:hi] ** 2, x.indices[lo:hi],
+                         x.indptr[s:s + n + 1] - lo) @ ones
+            for s, lo, hi in zip(starts, x.indptr[starts], x.indptr[starts + n])
+        ])
         ell = (row_sq / 4.0 + 2.0 * self.lambda_reg).reshape(self.m, self.n)
         return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
 
@@ -344,13 +311,10 @@ class QuadraticObjective(FiniteSumObjective):
     def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         return self.a[i, j].T @ (self.a[i, j] @ x - self.c[i, j])
 
-    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        r = np.einsum("jqd,d->jq", self.a[i], x) - self.c[i]
-        return np.einsum("jqd,jq->d", self.a[i], r) / self.n
-
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
-        r = np.einsum("ijqd,id->ijq", self.a, x) - self.c
-        return np.einsum("ijqd,ijq->id", self.a, r) / self.n
+        a = self.a.reshape(self.m, -1, self.d)
+        r = (a @ x[:, :, None])[:, :, 0] - self.c.reshape(self.m, -1)
+        return (r[:, None, :] @ a)[:, 0] / self.n
 
     def batch_diff(self, batch: np.ndarray, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         # The batch is the indices: a chunk of (q, d) blocks would outgrow

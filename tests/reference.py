@@ -4,8 +4,9 @@ Each function here is written per agent, per sample or per gossip round, as
 directly from the definitions as possible, so that the fast paths in
 ``src/`` can be checked against it:
 
-* ``local_value`` and ``batch_grad_mean`` -- one agent's local value and
-  mini-batch mean gradient, for both objectives;
+* ``local_value``, ``local_grad`` and ``batch_grad_mean`` -- one agent's
+  local value, local gradient and mini-batch mean gradient, for both
+  objectives;
 * ``reference_fastmix`` -- the accelerated-gossip momentum recursion, round
   by round;
 * ``reference_run`` -- a whole DEAREST run: per agent and round by round,
@@ -41,6 +42,17 @@ def local_value(obj, i, x):
         return 0.5 * float(np.sum(r * r)) / obj.n
     z = obj.labels[i] * np.asarray(obj.features[i] @ x).ravel()
     return float(np.mean(np.logaddexp(0.0, -z))) + _regularizer_value(x, obj.lambda_reg)
+
+
+def local_grad(obj, i, x):
+    """Agent i's local gradient: the mean of its n component gradients."""
+    if isinstance(obj, QuadraticObjective):
+        r = np.einsum("jqd,d->jq", obj.a[i], x) - obj.c[i]
+        return np.einsum("jqd,jq->d", obj.a[i], r) / obj.n
+    f, lab = obj.features[i], obj.labels[i]
+    z = lab * np.asarray(f @ x).ravel()
+    coef = -(lab * expit(-z)) / obj.n
+    return np.asarray(f.T @ coef).ravel() + _regularizer_grad(x, obj.lambda_reg)
 
 
 def batch_grad_mean(obj, i, indices, x):
@@ -97,7 +109,7 @@ def reference_run(obj, w, cfg, x0_bar):
     agents = [np.random.default_rng(s) for s in cfg.agent_seeds]
     t_out, i_out = divmod(int(np.random.default_rng(cfg.output_seed).integers(m * cfg.t_max)), m)
     x = np.tile(np.asarray(x0_bar, dtype=float), (m, 1))
-    g = np.stack([obj.local_grad(i, x[i]) for i in range(m)])
+    g = np.stack([local_grad(obj, i, x[i]) for i in range(m)])
     s = reference_fastmix(g, w, cfg.k_in)
     ifo = raw = m * n
     comm = comm_all = cfg.k_in
@@ -111,7 +123,7 @@ def reference_run(obj, w, cfg, x0_bar):
         g_new = np.empty_like(g)
         for i in range(m):
             if y:
-                g_new[i] = obj.local_grad(i, x_new[i])
+                g_new[i] = local_grad(obj, i, x_new[i])
             else:
                 idx = agents[i].integers(0, n, size=b)
                 g_new[i] = g[i] + (batch_grad_mean(obj, i, idx, x_new[i])

@@ -1,6 +1,7 @@
 """Objective oracles: values, gradients, smoothness bounds, batching."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dearest.objectives import (
     make_synthetic_logistic,
 )
 
-from reference import batch_grad_mean, local_value
+from reference import batch_grad_mean, local_grad, local_value
 
 
 def central_diff_grad(func, x, h=1e-6):
@@ -80,7 +81,7 @@ class TestLogisticGradients:
         obj = tiny_logistic(lambda_reg=1e-4)
         for i in range(obj.m):
             for j in range(obj.n):
-                a = obj.features[i][j]
+                a = obj.features[i][j].toarray().ravel()
                 b = obj.labels[i][j]
                 np.testing.assert_allclose(
                     obj.component_grad(i, j, np.zeros(obj.d)), -(b / 2.0) * a, rtol=1e-12
@@ -109,7 +110,7 @@ class TestLogisticGradients:
         for i in range(obj.m):
             x = rng.standard_normal(obj.d)
             mean = np.mean([obj.component_grad(i, j, x) for j in range(obj.n)], axis=0)
-            lg = obj.local_grad(i, x)
+            lg = local_grad(obj, i, x)
             assert np.linalg.norm(lg - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
 
     def test_global_is_mean_of_locals(self):
@@ -117,7 +118,7 @@ class TestLogisticGradients:
         x = np.array([0.3, -1.2, 0.7])
         np.testing.assert_allclose(
             obj.global_grad(x),
-            np.mean([obj.local_grad(i, x) for i in range(obj.m)], axis=0),
+            np.mean([local_grad(obj, i, x) for i in range(obj.m)], axis=0),
             rtol=1e-12,
         )
         assert obj.global_value(x) == pytest.approx(
@@ -139,28 +140,34 @@ class TestLogisticGradients:
         x = rng.standard_normal((obj.m, obj.d))
         rows = obj.grad_rows(x)
         assert rows.shape == (obj.m, obj.d)
-        np.testing.assert_allclose(rows[1], obj.local_grad(1, x[1]), rtol=1e-14)
+        np.testing.assert_allclose(rows[1], local_grad(obj, 1, x[1]), rtol=1e-14)
 
 
 class TestSparseDenseParity:
     def test_same_results_via_csr(self):
-        dense = tiny_logistic(n=5, d=4, seed=8)
-        sparse_obj = LogisticNCObjective(
-            [sp.csr_matrix(f) for f in dense.features], dense.labels, dense.lambda_reg
-        )
-        rng = np.random.default_rng(9)
+        rng = np.random.default_rng(8)
+        shards = [rng.standard_normal((5, 4)) for _ in range(2)]
+        labels = [np.where(rng.random(5) < 0.5, 1.0, -1.0) for _ in range(2)]
+        dense = LogisticNCObjective(shards, labels, 1e-4)
+        sparse_obj = LogisticNCObjective([sp.csr_matrix(f) for f in shards], labels, 1e-4)
         x = rng.standard_normal(4)
-        assert sparse_obj.smoothness == pytest.approx(dense.smoothness, rel=1e-12)
-        assert local_value(sparse_obj, 0, x) == pytest.approx(local_value(dense, 0, x), rel=1e-12)
-        np.testing.assert_allclose(
-            sparse_obj.local_grad(1, x), dense.local_grad(1, x), rtol=1e-12
+        rows = rng.standard_normal((2, 4))
+        assert sparse_obj.smoothness == dense.smoothness
+        assert local_value(sparse_obj, 0, x) == local_value(dense, 0, x)
+        np.testing.assert_array_equal(sparse_obj.grad_rows(rows), dense.grad_rows(rows))
+        np.testing.assert_array_equal(
+            sparse_obj.component_grad(0, 2, x), dense.component_grad(0, 2, x)
         )
-        np.testing.assert_allclose(
-            sparse_obj.component_grad(0, 2, x), dense.component_grad(0, 2, x), rtol=1e-12
-        )
-        idx = np.array([1, 1, 4])
-        np.testing.assert_allclose(
-            batch_grad_mean(sparse_obj, 0, idx, x), batch_grad_mean(dense, 0, idx, x), rtol=1e-12
+        for got, want in zip(sparse_obj.global_value_and_grad(x), dense.global_value_and_grad(x)):
+            np.testing.assert_array_equal(got, want)
+        idx = rng.integers(0, 5, size=(3, 2, 4))
+        x_old = rows + 0.1 * rng.standard_normal((2, 4))
+        sparse_batch, dense_batch = sparse_obj.gather(idx), dense.gather(idx)
+        for c in range(3):
+            np.testing.assert_array_equal(sparse_obj.batch_diff(sparse_batch, c, rows, x_old),
+                                          dense.batch_diff(dense_batch, c, rows, x_old))
+        np.testing.assert_array_equal(
+            batch_grad_mean(sparse_obj, 0, idx[0, 0], x), batch_grad_mean(dense, 0, idx[0, 0], x)
         )
 
 
@@ -242,7 +249,7 @@ class TestQuadratic:
     def test_grad_rows_is_the_local_grad_loop(self):
         obj = make_quadratic(5, 6, 3, seed=8, q=2)
         x = np.random.default_rng(14).standard_normal((obj.m, obj.d))
-        loop = np.stack([obj.local_grad(i, x[i]) for i in range(obj.m)])
+        loop = np.stack([local_grad(obj, i, x[i]) for i in range(obj.m)])
         np.testing.assert_allclose(obj.grad_rows(x), loop, rtol=1e-13, atol=0)
 
     def test_seeded_determinism(self):
@@ -258,7 +265,7 @@ class TestSyntheticLogistic:
         obj2 = make_synthetic_logistic(4, 16, 5, 1e-4, seed=21)
         assert obj1.m == 4 and obj1.n == 16 and obj1.d == 5
         for f1, f2 in zip(obj1.features, obj2.features):
-            np.testing.assert_array_equal(f1, f2)
+            np.testing.assert_array_equal(f1.toarray(), f2.toarray())
         for l1, l2 in zip(obj1.labels, obj2.labels):
             np.testing.assert_array_equal(l1, l2)
 
@@ -281,19 +288,19 @@ def assert_rel_close(got, ref, rel=1e-12):
     assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
 
 
-def a9a_shaped_logistic(m=20, n=1628, d=123, nnz=14, seed=0):
-    """Binary CSR rows with ``nnz`` distinct features each, as in a9a."""
+def a9a_shaped_shards(m=20, n=1628, d=123, nnz=14, seed=0):
+    """Per-agent binary CSR rows with ``nnz`` distinct features each, as in a9a, and labels."""
     rng = np.random.default_rng(seed)
     cols = np.sort(np.argsort(rng.random((m * n, d)), axis=1)[:, :nnz], axis=1)
     full = sp.csr_matrix(
         (np.ones(cols.size), cols.ravel(), np.arange(0, cols.size + 1, nnz)), shape=(m * n, d)
     )
     labels = np.where(rng.random(m * n) < 0.5, 1.0, -1.0)
-    return LogisticNCObjective(
-        [full[i * n:(i + 1) * n] for i in range(m)],
-        [labels[i * n:(i + 1) * n] for i in range(m)],
-        1e-4,
-    )
+    return [full[i * n:(i + 1) * n] for i in range(m)], [labels[i * n:(i + 1) * n] for i in range(m)]
+
+
+def a9a_shaped_logistic(m=20, n=1628, **kwargs):
+    return LogisticNCObjective(*a9a_shaped_shards(m, n, **kwargs), 1e-4)
 
 
 def fused_instances():
@@ -379,20 +386,64 @@ class TestPairedBatchDiff:
 
 
 class TestStackedLayout:
-    def test_blocks_share_the_stacked_copy(self):
-        dense = make_synthetic_logistic(3, 5, 4, 1e-3, seed=40)
-        sparse_obj = LogisticNCObjective(
-            [sp.csr_matrix(f) for f in dense.features], dense.labels, dense.lambda_reg
-        )
-        for obj in (dense, sparse_obj):
+    def test_block_diagonal_layout(self):
+        rng = np.random.default_rng(40)
+        shards = [rng.standard_normal((5, 4)) for _ in range(3)]
+        labels = [np.ones(5), -np.ones(5), np.ones(5)]
+        for feats in (shards, [sp.csr_matrix(f) for f in shards]):
+            obj = LogisticNCObjective(feats, labels, 1e-3)
             assert obj.n == 5 and len(obj.features) == 3
+            assert obj._x.shape == (15, 12) and obj._xt.shape == (12, 15)
+            assert np.shares_memory(obj._xt.data, obj._x.data)
             np.testing.assert_array_equal(obj.labels[2], obj._y[10:15])
-        np.testing.assert_array_equal(dense.features[1], dense._x[5:10])
-        assert np.shares_memory(dense.features[1], dense._x)
-        assert np.shares_memory(sparse_obj.features[1].data, sparse_obj._x.data)
-        assert np.shares_memory(sparse_obj._features_t[1].data, sparse_obj._x.data)
-        for f_dense, f_sparse in zip(dense.features, sparse_obj.features):
-            np.testing.assert_array_equal(f_sparse.toarray(), f_dense)
+            assert np.shares_memory(obj.labels[2], obj._y)
+            full = obj._x.toarray()
+            for i, f in enumerate(shards):
+                np.testing.assert_array_equal(full[5 * i:5 * i + 5, 4 * i:4 * i + 4], f)
+                np.testing.assert_array_equal(obj.features[i].toarray(), f)
+            assert np.count_nonzero(full) == 60
+
+    def test_column_range_guard(self):
+        # m*d = 2**31 columns do not fit int32 indices; nothing of that size is built.
+        feats = [sp.csr_matrix((1, 2**30)) for _ in range(2)]
+        with pytest.raises(ValueError, match=r"m\*d = 2147483648"):
+            LogisticNCObjective(feats, [np.ones(1)] * 2, 1e-4)
+
+    def test_construction_peak_memory(self):
+        # What the constructor allocates on the way, beyond what the object
+        # keeps, stays below half of it: no temporary the size of the data.
+        m, n = 4, 8140
+        feats, labels = a9a_shaped_shards(m, n)
+        tracemalloc.start()
+        try:
+            obj = LogisticNCObjective(feats, labels, 1e-4)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert obj._x.nnz == 14 * m * n
+        assert peak <= 1.5 * held
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 8),
+        d=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grad_rows_is_the_local_grad_loop_on_csr(self, m, n, d, density, seed):
+        rng = np.random.default_rng(seed)
+        feats = [sp.random(n, d, density=density, format="csr", random_state=rng) for _ in range(m)]
+        for f in feats:
+            f.data = rng.standard_normal(f.nnz)
+        labels = [np.where(rng.random(n) < 0.5, 1.0, -1.0) for _ in range(m)]
+        obj = LogisticNCObjective(feats, labels, 1e-3)
+        x = rng.standard_normal((m, d))
+        rows = obj.grad_rows(x)
+        for i in range(m):
+            np.testing.assert_array_equal(rows[i], local_grad(obj, i, x[i]))
+            mean = np.mean([obj.component_grad(i, j, x[i]) for j in range(n)], axis=0)
+            assert np.linalg.norm(rows[i] - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_global_value_and_grad_is_mean_of_locals(self, kind):
@@ -401,7 +452,7 @@ class TestStackedLayout:
         value, grad = obj.global_value_and_grad(x)
         assert obj.global_value(x) == value
         assert value == pytest.approx(np.mean([local_value(obj, i, x) for i in range(obj.m)]), rel=1e-12)
-        assert_rel_close(grad, np.mean([obj.local_grad(i, x) for i in range(obj.m)], axis=0))
+        assert_rel_close(grad, np.mean([local_grad(obj, i, x) for i in range(obj.m)], axis=0))
 
 
 class TestNonFiniteInput:
