@@ -115,6 +115,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    seeds = _parse_int_list(text)
+    for k, seed in enumerate(seeds):
+        if seed in seeds[:k]:
+            raise ValueError(f"seed {seed} is listed twice")
+    return seeds
+
+
 _SPEC_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "objective": ("objective", str),
     "topology": ("topology", str),
@@ -133,7 +141,7 @@ _SPEC_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
     "flip_fraction": ("flip_fraction", _parse_finite),
     "n": ("n", int),
     "d": ("d", int),
-    "seeds": ("seeds", _parse_int_list),
+    "seeds": ("seeds", _parse_seeds),
     "output_dir": ("output_dir", Path),
     "telemetry_stride": ("telemetry_stride", int),
 }
@@ -158,9 +166,11 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     """Parse and validate a ``key = value`` experiment spec file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_bytes().decode("utf-8")
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})") from None
     spec = ExperimentSpec()
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):

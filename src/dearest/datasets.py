@@ -9,19 +9,24 @@ from it.
 
 ``parse_libsvm`` has a fast path and an error path.  The fast path reads the
 file's bytes in blocks of about 256 KiB, each ending at a line end.  Per
-block it finds tokens and colons with whole-array numpy operations and
-converts every number with one ``np.fromstring`` call; the output arrays are
-sized up front from the file's colon count.  It accepts a file only when all
-of these hold, and otherwise hands the whole file to ``_parse_lines``:
+block it builds one table of *fields*, the maximal runs of bytes other than
+space, tab, newline and colon, with whole-array numpy operations, and checks
+the line layout on that table.  Fields of the form ``[+-]?[0-9]{1,18}`` are
+converted with digit arithmetic in int64, which is exact, then cast to
+float64; the remaining values (with ``.``, ``e`` or ``E``, or more digits) go
+through one ``np.fromstring`` call, skipped when there are none.  The output
+arrays are sized up front from the file's colon count.  It accepts a file
+only when all of these hold, and otherwise hands the whole file to
+``_parse_lines``:
 
-- every byte is a digit, ``+ - . e E :``, a space, a tab or ``\\n`` (so CRLF
+- every byte is a digit, ``+ - . e E :``, a space, a tab or ``\n`` (so CRLF
   files, ``nan``/``inf`` and non-ASCII text take the line parser);
-- a line's first token has no colon, and every other token has exactly one
-  colon with text on both sides of it;
-- ``.``, ``e`` and ``E`` appear only after a token's colon, so labels and
-  indices are written as integers (a label such as ``1.0`` takes the line
-  parser);
-- every number converts and the count of numbers is as expected;
+- a line's first field touches no colon, every colon has a field on both
+  sides, and no field touches two colons, so the rest of a line pairs up as
+  index:value tokens;
+- labels and indices are integers of at most 18 digits (a label such as
+  ``1.0`` takes the line parser);
+- every value converts, and the count of converted values is as expected;
 - values are finite, labels are in {0, +-1}, indices lie in [1, 2**31 - 2],
   strictly increase within a row and do not exceed ``d_override``.
 
@@ -62,6 +67,7 @@ class DatasetError(ValueError):
 
 
 _VALID_LABELS = {1.0: 1.0, -1.0: -1.0, 0.0: -1.0}
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,8 @@ def _parse_lines(path: Path, raw: bytes, d_override: int | None) -> SampleSet:
                 raise DatasetError(
                     f"{path}:{lineno}: feature index {one_based} is below 1 (indices are 1-based)"
                 )
+            if one_based > _INT64_MAX:
+                raise DatasetError(f"{path}:{lineno}: feature index {one_based} does not fit in int64")
             if one_based <= prev:
                 raise DatasetError(
                     f"{path}:{lineno}: feature index {one_based} is not strictly increasing"
@@ -186,20 +194,14 @@ def _parse_lines(path: Path, raw: bytes, d_override: int | None) -> SampleSet:
     return _sample_set(np.array(values), np.array(indices), np.array(indptr), np.array(labels), d)
 
 
-def _byte_set(chars: bytes) -> np.ndarray:
-    """A 256-entry lookup table: True at each byte value in ``chars``."""
-    table = np.zeros(256, dtype=bool)
-    table[np.frombuffer(chars, dtype=np.uint8)] = True
-    return table
-
-
 # The fast path's block size in bytes: a block ends at the first line end at
 # or past it.  Blocks bound the fast path's temporaries.
 _BLOCK_BYTES = 1 << 18
-_FAST_BYTES = _byte_set(b"0123456789+-.eE: \t\n")
-_SPACE_BYTES = _byte_set(b" \t\n")
-_FLOAT_BYTES = _byte_set(b".eE")
+_FAST_BYTES = b"0123456789+-.eE: \t\n"
 _MAX_INDEX = 2**31 - 2
+# Integer fields of at most this many digits are converted exactly in int64
+# (10**18 - 1 < 2**63); longer ones go through np.fromstring.
+_MAX_DIGITS = 18
 
 
 def _parse_blocks(raw: bytes, d_override: int | None) -> SampleSet | None:
@@ -244,29 +246,22 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, ...] | None:
     """
     if not block.endswith(b"\n"):
         block += b"\n"
-    layout = _token_layout(np.frombuffer(block, dtype=np.uint8))
+    # Field offsets are held as int32.
+    if len(block) > 2**31 - 1 or block.translate(None, _FAST_BYTES):
+        return None
+    a = np.frombuffer(block, dtype=np.uint8)
+    layout = _field_layout(a, block.count(b":"))
     if layout is None:
         return None
-    label_tokens, n_tokens = layout
-    try:
-        # Unmatched text raises ValueError on numpy 2; older numpy warns and
-        # stops early, and the count check below catches that too.  Text of
-        # whitespace alone reads as [-1.0], so a block without tokens skips it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            numbers = np.fromstring(block.replace(b":", b" "), sep=" ") if n_tokens else np.zeros(0)
-    except (ValueError, DeprecationWarning):
+    starts, ends, is_value, label_fields, row_nnz = layout
+    numbers = _field_numbers(a, starts, ends, is_value)
+    if numbers is None:
         return None
-    # A label is one number and every other token two.
-    if len(numbers) != 2 * n_tokens - len(label_tokens) or not np.isfinite(numbers).all():
-        return None
-    # Token t's first number sits at t plus the colons before it.
-    in_label = np.zeros(len(numbers), dtype=bool)
-    in_label[2 * label_tokens - np.arange(len(label_tokens))] = True
-    labels = numbers[in_label]
-    pairs = numbers[~in_label]
-    idx, val = pairs[0::2], pairs[1::2]
-    row_nnz = np.diff(np.append(label_tokens, n_tokens)) - 1
+    labels = numbers[label_fields]
+    # Each index field directly precedes its value field.
+    value_fields = np.flatnonzero(is_value)
+    idx = numbers.take(value_fields - 1)
+    val = numbers.take(value_fields)
     row_first = np.cumsum(row_nnz) - row_nnz
     falls = np.zeros(len(idx), dtype=bool)
     falls[1:] = idx[1:] <= idx[:-1]
@@ -278,42 +273,117 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, ...] | None:
         or idx.max(initial=1.0) > _MAX_INDEX
     ):
         return None
-    # Index tokens are digits with an optional sign, and below 2**31, so
-    # the floats are exact integers.
+    # Index fields are integers below 2**31, so the floats are exact.
     return np.where(labels > 0.0, 1.0, -1.0), row_nnz, idx, val
 
 
-def _token_layout(a: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """Label token ids and the token count of a block's bytes, or None.
+def _field_layout(a: np.ndarray, n_colons: int) -> tuple[np.ndarray, ...] | None:
+    """The field table of a block's bytes, or None if its lines are malformed.
 
-    A line's first token is its label and has no colon; every other token
-    is index:value, with one colon and text on both sides of it.
+    A field is a maximal run of bytes other than space, tab, newline and
+    colon.  A line's first field is its label and touches no colon; every
+    other field is an index or a value, joined by one colon into an
+    index:value token.  Returns the fields' start and end offsets (int32),
+    which fields are values, the label fields and each row's feature count.
     """
-    if not _FAST_BYTES[a].all():
-        return None
-    space = _SPACE_BYTES[a]
-    token_starts = ~space
-    token_starts[1:] &= space[:-1]
-    token_at = np.flatnonzero(token_starts)
-    colon_at = np.flatnonzero(a == ord(":"))
-    line_of_token = np.searchsorted(np.flatnonzero(a == ord("\n")), token_at)
-    is_label = np.ones(len(token_at), dtype=bool)
-    is_label[1:] = line_of_token[1:] != line_of_token[:-1]
-    token_of_colon = np.searchsorted(token_at, colon_at, side="right") - 1
-    if not (
-        np.array_equal(np.bincount(token_of_colon, minlength=len(token_at)), ~is_label)
-        and np.all(token_at[token_of_colon] < colon_at)
-        and not space[colon_at + 1].any()
+    # Once the byte check passed, only space, tab and newline lie at or
+    # below ' '.
+    sep = (a <= ord(" ")) | (a == ord(":"))
+    edge = np.empty(len(a), dtype=bool)
+    edge[0] = not sep[0]
+    np.not_equal(sep[1:], sep[:-1], out=edge[1:])
+    del sep
+    # Starts and ends alternate, since the block ends with a newline.
+    bounds = np.flatnonzero(edge).astype(np.int32)
+    del edge
+    starts, ends = bounds[0::2], bounds[1::2]
+    # a[-1] is the block's final newline, so a field at offset 0 reads as
+    # following a line end.  (take is faster than [] with int32 positions.)
+    is_value = a.take(starts - 1) == ord(":")
+    is_index = a.take(ends) == ord(":")
+    # Every colon has a field on each side of it, and no field touches two.
+    if (
+        np.count_nonzero(is_value) != n_colons
+        or np.count_nonzero(is_index) != n_colons
+        or (is_value & is_index).any()
     ):
         return None
-    # int() rejects "1.0" and "1e0" as an index, so '.', 'e' and 'E' must
-    # follow their token's colon.  Labels such as 1.0 go to the line parser.
-    colon_of_token = np.full(len(token_at), len(a))
-    colon_of_token[token_of_colon] = colon_at
-    floaty_at = np.flatnonzero(_FLOAT_BYTES[a])
-    if np.any(colon_of_token[np.searchsorted(token_at, floaty_at, side="right") - 1] > floaty_at):
+    # A line's fields are those that end after the previous line end.
+    upto = np.searchsorted(ends, np.flatnonzero(a == ord("\n")), side="right")
+    per_line = np.diff(upto, prepend=0)
+    rows = per_line > 0
+    label_fields = (upto - per_line)[rows]
+    # Each line starts with a field that touches no colon, and no other
+    # field is bare, so the rest of a line pairs up as index:value.
+    if is_index[label_fields].any() or len(starts) - 2 * n_colons != len(label_fields):
         return None
-    return np.flatnonzero(is_label), len(token_at)
+    return starts, ends, is_value, label_fields, (per_line[rows] - 1) // 2
+
+
+def _field_numbers(
+    a: np.ndarray, starts: np.ndarray, ends: np.ndarray, is_value: np.ndarray
+) -> np.ndarray | None:
+    """Every field's number as float64, or None if one does not convert.
+
+    A field of the form ``[+-]?[0-9]{1,18}`` is summed digit by digit from
+    the right in int64, which is exact, and cast to float64, which rounds
+    correctly, so it gets the bits ``float()`` gives it.  The sign is applied
+    after the cast, so ``-0`` is -0.0.  Labels and indices must be of that
+    form; the other values go through one ``np.fromstring`` call on a copy
+    of the block in which every other byte is blanked.
+    """
+    leading = a.take(starts)
+    negative = leading == ord("-")
+    digits = ends - starts - (negative | (leading == ord("+")))
+    # A '+', '-', '.', 'e' or 'E' (the allowed bytes between ' ' and '0' or
+    # above ':') other than a sign that opens its field makes it a float.
+    marks = np.flatnonzero(((a > ord(" ")) & (a < ord("0"))) | (a > ord(":")))
+    before, mark = a.take(marks - 1), a.take(marks)
+    opens = (before <= ord(" ")) | (before == ord(":"))
+    stray = marks[~(opens & ((mark == ord("+")) | (mark == ord("-"))))]
+    is_float = (digits < 1) | (digits > _MAX_DIGITS)
+    is_float[np.searchsorted(starts, stray, side="right") - 1] = True
+    if (is_float & ~is_value).any():
+        return None
+    # Sum the digits from the right: every field's units digit, then the
+    # tens digit of fields with two digits or more, and so on.  Float fields
+    # get a stand-in here, which their parsed value replaces below.
+    digits[is_float] = 0
+    whole = a.take(ends - 1).astype(np.int64) - ord("0")
+    longer = np.flatnonzero(digits > 1)
+    place = 1
+    for k in range(1, int(digits.max(initial=0))):
+        place *= 10
+        longer = longer[digits[longer] > k]
+        whole[longer] += (a.take(ends.take(longer) - 1 - k).astype(np.int64) - ord("0")) * place
+    del digits, longer
+    numbers = whole.astype(np.float64)
+    del whole
+    np.negative(numbers, out=numbers, where=negative)
+    floats = np.flatnonzero(is_float)
+    if not len(floats):
+        return numbers
+    # Mark each float field's first byte 1 and the byte after it -1; the
+    # running sum is then 1 exactly on the float fields' bytes.
+    inside = np.zeros(len(a), dtype=np.int8)
+    inside[starts[floats]] = 1
+    inside[ends[floats]] = -1
+    np.cumsum(inside, dtype=np.int8, out=inside)
+    text = np.where(inside.view(bool), a, np.uint8(ord(" "))).tobytes()
+    del inside
+    try:
+        # Unmatched text (such as 1-2 or a lone +) raises ValueError on
+        # numpy 2; older numpy warns and stops early, and the count check
+        # below catches that too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            parsed = np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if len(parsed) != len(floats) or not np.isfinite(parsed).all():
+        return None
+    numbers[floats] = parsed
+    return numbers
 
 
 def write_libsvm(samples: SampleSet, path: str | Path) -> None:

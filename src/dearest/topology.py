@@ -163,7 +163,13 @@ def read_graph_file(path: str | Path) -> Graph:
 
     Indices are 0-based.  Blank lines and ``#`` comments are ignored.
     """
-    lines = Path(path).read_text().splitlines()
+    path = Path(path)
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except OSError as exc:
+        raise TopologyError(f"cannot read graph file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})") from None
     m: int | None = None
     edges = set()
     for lineno, raw in enumerate(lines, 1):

@@ -47,6 +47,20 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=r"exp.cfg:5: unknown key 'step_size'"):
             load_spec(path)
 
+    def test_duplicate_seed_names_line_and_seed(self, tmp_path):
+        path = write_spec(
+            tmp_path,
+            "objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\nseeds = 5,3,5\n",
+        )
+        with pytest.raises(SpecError, match=r"exp.cfg:5: bad value for 'seeds': seed 5 is listed twice$"):
+            load_spec(path)
+
+    def test_non_utf8_bytes_name_file_and_offset(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"objective = quadratic\n# caf\xe9\n")
+        with pytest.raises(SpecError, match=r"exp.cfg: byte 27 is not UTF-8 text"):
+            load_spec(path)
+
     def test_empty_file_lists_required_keys(self, tmp_path):
         path = write_spec(tmp_path, "")
         with pytest.raises(SpecError, match="objective, topology, m, epsilon"):

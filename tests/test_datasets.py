@@ -232,12 +232,23 @@ def assert_bitwise_equal(got: SampleSet, want: SampleSet):
     assert got.labels.tobytes() == want.labels.tobytes()
 
 
+# Integers of up to 18 digits are converted exactly by the fast path; longer
+# ones (up to 20 digits, or zero-padded to 19) go through np.fromstring.
+INTEGER_TEXTS = st.one_of(
+    st.integers(0, 1000).map(str),
+    st.integers(10**15, 10**20 - 1).map(str),
+    st.integers(0, 10**16).map(lambda k: f"{k:019d}"),
+    st.sampled_from(["0", "007", "9007199254740993", "999999999999999999",
+                     "9999999999999999999"]),
+)
 VALUE_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-1000, 1000).map(str),
+    st.tuples(st.sampled_from(["", "+", "-"]), INTEGER_TEXTS).map("".join),
     st.integers(0, 999).map(lambda k: f".{k}"),
     st.sampled_from(["1e-3", "2.5E2", "-7e+01", "1E0", "5e-324"]),
 )
+LABEL_TEXTS = st.sampled_from(["+1", "-1", "1", "0", "+0", "-0", "01", "-01", "000"])
+INDEX_FORMATS = st.sampled_from(["{}", "+{}", "00{}", "+0{}"])
 SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
 
 
@@ -250,8 +261,8 @@ def libsvm_texts(draw):
             lines.append(draw(st.sampled_from(["", " ", "\t", "  \t"])))
             continue
         indices = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
-        tokens = [draw(st.sampled_from(["+1", "-1", "1", "0"]))]
-        tokens += [f"{i}:{draw(VALUE_TEXTS)}" for i in indices]
+        tokens = [draw(LABEL_TEXTS)]
+        tokens += [f"{draw(INDEX_FORMATS).format(i)}:{draw(VALUE_TEXTS)}" for i in indices]
         line = draw(st.sampled_from(["", " ", "\t"]))
         for tok in tokens:
             line += tok + draw(SPACES)
@@ -323,6 +334,11 @@ class TestFastPath:
         "inf-value": lambda label, toks, last: (label, toks + [f"{last + 1}:inf"]),
         "overflowing-value": lambda label, toks, last: (label, toks + [f"{last + 1}:1e999"]),
         "stray-token": lambda label, toks, last: (label, toks + ["17"]),
+        "sign-inside-value": lambda label, toks, last: (label, toks + ["3:1-2"]),
+        "sign-only-value": lambda label, toks, last: (label, toks + ["3:+"]),
+        "two-sign-index": lambda label, toks, last: (label, toks + ["+-3:1"]),
+        "index-beyond-int64": lambda label, toks, last: (
+            label, toks + ["99999999999999999999:1"]),
         "beyond-d-override": lambda label, toks, last: (label, toks + ["26:1"]),
     }
 

@@ -164,6 +164,16 @@ class TestGraphFile:
         with pytest.raises(TopologyError, match="g.txt:3"):
             read_graph_file(path)
 
+    def test_non_utf8_bytes_name_file_and_offset(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"m 3\n0 1 # \xff\n")
+        with pytest.raises(TopologyError, match=r"g.txt: byte 10 is not UTF-8 text"):
+            read_graph_file(path)
+
+    def test_missing_file_names_it(self, tmp_path):
+        with pytest.raises(TopologyError, match=r"cannot read graph file .*nosuch.txt"):
+            read_graph_file(tmp_path / "nosuch.txt")
+
 
 class TestLaplacian:
     def test_path_m2(self):
