@@ -18,7 +18,7 @@ Two concrete instances:
   matrix, so a full pass for all agents is one sparse product each way and
   a cheap step three ``np.bincount`` calls over the gathered nonzeros.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
-  minimizer, used as an oracle in tests.
+  minimizer, used as an oracle in tests; gradients come from Gram sums.
 """
 
 from __future__ import annotations
@@ -284,9 +284,13 @@ class LogisticNCObjective(FiniteSumObjective):
 class QuadraticObjective(FiniteSumObjective):
     """Least-squares components 0.5 * ||A_ij x - c_ij||^2.
 
-    Shapes: ``a`` is (m, n, q, d) and ``c`` is (m, n, q).  The global
-    minimizer solves the aggregated normal equations and is exposed via
-    ``solution()`` for oracle tests.
+    ``a`` is (m, n, q, d) and ``c`` is (m, n, q).  Construction stores each
+    agent's sums H_i = sum_j A_ij^T A_ij, (m, d, d), and r_i = sum_j A_ij^T
+    c_ij, (m, d): m*d*(d + 1) floats beside the m*n*q*d of ``a``.  Gradients
+    are affine in x: (H_i x_i - r_i) / n locally, H_bar x - r_bar globally
+    (means over all m*n components), and ``solution()`` solves H_bar x =
+    r_bar.  Values stay in residual form, one pass over ``a``: the expanded
+    quadratic cancels near the minimizer, where f_bar and f(x0) - f* are read.
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray) -> None:
@@ -301,8 +305,13 @@ class QuadraticObjective(FiniteSumObjective):
         self.a = a
         self.c = c
         self.m, self.n, _, self.d = a.shape
+        # Transposed views: matmul reads them in place, with no copy of a.
+        at = a.reshape(self.m, -1, self.d).transpose(0, 2, 1)
+        self._gram = at @ at.transpose(0, 2, 1)
+        self._rhs = (at @ c.reshape(self.m, -1, 1))[:, :, 0]
+        self._gram_bar = self._gram.sum(axis=0) / (self.m * self.n)
+        self._rhs_bar = self._rhs.sum(axis=0) / (self.m * self.n)
         self._smoothness = self._smoothness_bound()
-        self._solution: np.ndarray | None = None
 
     def component_value(self, i: int, j: int, x: np.ndarray) -> float:
         r = self.a[i, j] @ x - self.c[i, j]
@@ -312,9 +321,7 @@ class QuadraticObjective(FiniteSumObjective):
         return self.a[i, j].T @ (self.a[i, j] @ x - self.c[i, j])
 
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
-        a = self.a.reshape(self.m, -1, self.d)
-        r = (a @ x[:, :, None])[:, :, 0] - self.c.reshape(self.m, -1)
-        return (r[:, None, :] @ a)[:, 0] / self.n
+        return ((self._gram @ x[:, :, None])[:, :, 0] - self._rhs) / self.n
 
     def batch_diff(self, batch: np.ndarray, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         # The batch is the indices: a chunk of (q, d) blocks would outgrow
@@ -325,16 +332,12 @@ class QuadraticObjective(FiniteSumObjective):
         r = asub @ (x_new - x_old)[:, None, :, None]
         return (r.reshape(m, 1, b * q) @ asub.reshape(m, b * q, d))[:, 0] / b
 
-    def _global_value_and_residuals(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = np.einsum("ijqd,d->ijq", self.a, x) - self.c
-        return 0.5 * float(np.sum(r * r)) / (self.m * self.n), r
-
-    def global_value(self, x: np.ndarray) -> float:
-        return self._global_value_and_residuals(x)[0]
-
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, r = self._global_value_and_residuals(x)
-        return value, np.einsum("ijqd,ijq->d", self.a, r) / (self.m * self.n)
+        r = np.einsum("ijqd,d->ijq", self.a, x) - self.c
+        return 0.5 * float(np.sum(r * r)) / (self.m * self.n), self.global_grad(x)
+
+    def global_grad(self, x: np.ndarray) -> np.ndarray:
+        return self._gram_bar @ x - self._rhs_bar
 
     def _smoothness_bound(self) -> float:
         ell = np.linalg.norm(self.a, 2, axis=(-2, -1)) ** 2
@@ -345,12 +348,8 @@ class QuadraticObjective(FiniteSumObjective):
         return self._smoothness
 
     def solution(self) -> np.ndarray:
-        """Global minimizer from the aggregated normal equations."""
-        if self._solution is None:
-            h = np.einsum("ijqd,ijqe->de", self.a, self.a) / (self.m * self.n)
-            rhs = np.einsum("ijqd,ijq->d", self.a, self.c) / (self.m * self.n)
-            self._solution = np.linalg.solve(h, rhs)
-        return self._solution.copy()
+        """Global minimizer: the solution of H_bar x = r_bar."""
+        return np.linalg.solve(self._gram_bar, self._rhs_bar)
 
     def optimal_value(self) -> float:
         return self.global_value(self.solution())

@@ -7,6 +7,8 @@ directly from the definitions as possible, so that the fast paths in
 * ``local_value``, ``local_grad`` and ``batch_grad_mean`` -- one agent's
   local value, local gradient and mini-batch mean gradient, for both
   objectives;
+* ``global_grad`` -- the quadratic's global gradient from the residuals of
+  all components, where ``QuadraticObjective`` uses its stored Gram sums;
 * ``reference_fastmix`` -- the accelerated-gossip momentum recursion, round
   by round;
 * ``reference_run`` -- a whole DEAREST run: per agent and round by round,
@@ -53,6 +55,12 @@ def local_grad(obj, i, x):
     z = lab * np.asarray(f @ x).ravel()
     coef = -(lab * expit(-z)) / obj.n
     return np.asarray(f.T @ coef).ravel() + _regularizer_grad(x, obj.lambda_reg)
+
+
+def global_grad(obj, x):
+    """Global gradient of a ``QuadraticObjective``: sum_ij A_ij^T (A_ij x - c_ij) / (m n)."""
+    r = np.einsum("ijqd,d->ijq", obj.a, x) - obj.c
+    return np.einsum("ijqd,ijq->d", obj.a, r) / (obj.m * obj.n)
 
 
 def batch_grad_mean(obj, i, indices, x):

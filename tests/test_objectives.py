@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dearest.objectives import (
@@ -16,7 +16,7 @@ from dearest.objectives import (
     make_synthetic_logistic,
 )
 
-from reference import batch_grad_mean, local_grad, local_value
+from reference import batch_grad_mean, global_grad, local_grad, local_value
 
 
 def central_diff_grad(func, x, h=1e-6):
@@ -251,6 +251,51 @@ class TestQuadratic:
         x = np.random.default_rng(14).standard_normal((obj.m, obj.d))
         loop = np.stack([local_grad(obj, i, x[i]) for i in range(obj.m)])
         np.testing.assert_allclose(obj.grad_rows(x), loop, rtol=1e-13, atol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 6),
+        q=st.integers(1, 7),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, n=1, q=2, d=5, seed=0)
+    @example(m=1, n=3, q=6, d=2, seed=1)
+    @example(m=3, n=1, q=1, d=4, seed=2)
+    def test_gram_form_matches_residual_form(self, m, n, q, d, seed):
+        # Each bound scales with the terms whose difference is taken,
+        # ||A||^2 ||x|| + ||A|| ||c||, since near the minimizer the
+        # gradient itself is only rounding.
+        obj = make_quadratic(m, n, d, seed=seed, q=q)
+        x = np.random.default_rng(seed).standard_normal((m, d))
+        rows = obj.grad_rows(x)
+        for i in range(m):
+            norm_a, norm_c = np.linalg.norm(obj.a[i]), np.linalg.norm(obj.c[i])
+            scale = (norm_a**2 * np.linalg.norm(x[i]) + norm_a * norm_c) / n
+            assert np.linalg.norm(rows[i] - local_grad(obj, i, x[i])) <= 1e-12 * scale
+        norm_a, norm_c = np.linalg.norm(obj.a), np.linalg.norm(obj.c)
+        scale = (norm_a**2 * np.linalg.norm(x[0]) + norm_a * norm_c) / (m * n)
+        assert np.linalg.norm(obj.global_grad(x[0]) - global_grad(obj, x[0])) <= 1e-12 * scale
+        if m * n * q >= d:  # else the normal equations are singular
+            x_star = obj.solution()
+            scale = (norm_a**2 * np.linalg.norm(x_star) + norm_a * norm_c) / (m * n)
+            assert np.linalg.norm(global_grad(obj, x_star)) <= 1e-12 * scale
+
+    def test_construction_peak_memory(self):
+        # ring100-quad's shape.  The Gram sums are built from views of a, so
+        # the largest temporary is the bool finiteness mask, an eighth of a's
+        # bytes.  A temporary of a quarter of a or more fails this.
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((100, 32, 20, 20))
+        c = rng.standard_normal((100, 32, 20))
+        tracemalloc.start()
+        try:
+            QuadraticObjective(a, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * a.nbytes
 
     def test_seeded_determinism(self):
         a = make_quadratic(2, 3, 4, seed=7)
