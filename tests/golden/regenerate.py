@@ -175,7 +175,7 @@ def compare(new: dict, old: dict) -> list[str]:
             bad = np.flatnonzero(~(np.abs(a - b) <= RTOL * np.abs(b) + FLOOR * scale))
         if bad.size:
             faults.append(f"{col}: {bad.size} rows differ, first at t = {old['rows'][bad[0]][0]} "
-                          f"({a[bad[0]]!r}, expected {b[bad[0]]!r})")
+                          f"({float(a[bad[0]])!r}, expected {float(b[bad[0]])!r})")
     for name, ref in old["vectors"].items():
         got, ref = np.asarray(new["vectors"].get(name, []), dtype=float), np.asarray(ref)
         if got.shape != ref.shape or not np.linalg.norm(got - ref) <= RTOL * np.linalg.norm(ref):
