@@ -15,8 +15,8 @@ Two concrete instances:
 * ``LogisticNCObjective`` -- binary logistic loss with the bounded nonconvex
   regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  The per-agent features,
   dense or sparse, are stored once as one block-diagonal (m*n, m*d) CSR
-  matrix, so a full pass for all agents is one sparse product each way and
-  a cheap step three ``np.bincount`` calls over the gathered nonzeros.
+  matrix: a full pass is one sparse product each way, a chunk of cheap
+  steps one scipy row gather, and a step three products over a view of it.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests; gradients come from Gram sums.
 """
@@ -24,6 +24,8 @@ Two concrete instances:
 from __future__ import annotations
 
 import abc
+import copy
+import functools
 import math
 from typing import Sequence
 
@@ -120,13 +122,19 @@ def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
     return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _sparse_view(ncols: int, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """A CSR matrix with ``ncols`` columns over the given arrays, without copying them.
+@functools.lru_cache(maxsize=64)
+def _empty(fmt: type, shape: tuple[int, int]) -> sp.spmatrix:
+    return fmt(shape, dtype=float)
 
-    scipy's constructor copies index arrays that view a much larger one,
-    which would duplicate the stacked indices block by block.
+
+def _sparse_view(fmt: type, shape: tuple[int, int], data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray) -> sp.spmatrix:
+    """A ``fmt`` (CSR or CSC) matrix of ``shape`` over the given arrays, without copying them.
+
+    scipy's constructors copy index arrays that view a larger one and check the
+    format, which costs more than a cheap step's product; a shallow copy does neither.
     """
-    mat = sp.csr_matrix((indptr.size - 1, ncols), dtype=data.dtype)
+    mat = copy.copy(_empty(fmt, shape))
     mat.data, mat.indices, mat.indptr = data, indices, indptr
     return mat
 
@@ -213,36 +221,27 @@ class LogisticNCObjective(FiniteSumObjective):
         return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
     def gather(self, idx: np.ndarray) -> tuple:
-        # Labels; per nonzero: value, intp column in the layout (agent * d
-        # + feature), row within the step; and each step's start.
-        steps, m, b = idx.shape
+        # Labels, (C, m*b), and the chunk's rows of the stacked matrix: one CSR row gather.
         rows = (idx + self._starts[:, None]).ravel()
-        lab = self._y[rows].reshape(steps, m * b)
-        x = self._x
-        counts = x.indptr[rows + 1] - x.indptr[rows]
-        ends = np.cumsum(counts)
-        pos = np.repeat(x.indptr[rows] - ends + counts, counts)
-        pos += np.arange(pos.size)
-        row = np.repeat(np.arange(rows.size) % (m * b), counts)
-        flat = x.indices[pos].astype(np.intp, copy=False)
-        return lab, x.data[pos], flat, row, np.concatenate(([0], ends[m * b - 1::m * b]))
+        return self._y[rows].reshape(idx.shape[0], -1), self._x[rows]
 
     def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         m, d = x_new.shape
-        lab = batch[0][c]
-        b = lab.size // m
-        lo, hi = batch[4][c], batch[4][c + 1]
-        data, flat, row = batch[1][lo:hi], batch[2][lo:hi], batch[3][lo:hi]
-        z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=m * b)
-        z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=m * b)
-        coef = lab * (expit(-z_old) - expit(-z_new)) / b
-        lin = np.bincount(flat, data * coef[row], minlength=m * d)
+        lab, chunk = batch[0][c], batch[1]
+        ptr = chunk.indptr[c * lab.size:(c + 1) * lab.size + 1]
+        view = (chunk.data[ptr[0]:ptr[-1]], chunk.indices[ptr[0]:ptr[-1]], ptr - ptr[0])
+        # Step c's rows, and their transpose as a CSC matrix over the same arrays.
+        sc = _sparse_view(sp.csr_matrix, (lab.size, m * d), *view)
+        z_new, z_old = lab * (sc @ x_new.ravel()), lab * (sc @ x_old.ravel())
+        coef = lab * (expit(-z_old) - expit(-z_new)) / (lab.size // m)
+        lin = _sparse_view(sp.csc_matrix, (m * d, lab.size), *view) @ coef
         reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
         return lin.reshape(m, d) + reg
 
     def batch_nbytes(self, b: int) -> int:
-        # A label per row and 24 bytes per nonzero.
-        return math.ceil(self.m * b * (8 + 24 * self._x.nnz / self._x.shape[0]))
+        # A label and an indptr entry per row, 12 bytes (value, column) per nonzero.
+        x = self._x
+        return math.ceil(self.m * b * (8 + x.indptr.itemsize + 12 * x.nnz / x.shape[0]))
 
     def _global_value_and_margins(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         z = self._y * (self._x @ np.tile(x, self.m))
@@ -265,7 +264,7 @@ class LogisticNCObjective(FiniteSumObjective):
         # whole data.
         x, n, starts, ones = self._x, self.n, self._starts, np.ones(self._x.shape[1])
         row_sq = np.concatenate([
-            _sparse_view(ones.size, x.data[lo:hi] ** 2, x.indices[lo:hi],
+            _sparse_view(sp.csr_matrix, (n, ones.size), x.data[lo:hi] ** 2, x.indices[lo:hi],
                          x.indptr[s:s + n + 1] - lo) @ ones
             for s, lo, hi in zip(starts, x.indptr[starts], x.indptr[starts + n])
         ])
@@ -333,7 +332,7 @@ class QuadraticObjective(FiniteSumObjective):
         return (r.reshape(m, 1, b * q) @ asub.reshape(m, b * q, d))[:, 0] / b
 
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        r = np.einsum("ijqd,d->ijq", self.a, x) - self.c
+        r = self.a.reshape(-1, self.d) @ x - self.c.ravel()
         return 0.5 * float(np.sum(r * r)) / (self.m * self.n), self.global_grad(x)
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:

@@ -25,8 +25,9 @@ Randomness: ``step`` draws a refresh flag from the shared stream and, on a
 cheap step, b indices from each agent's stream.  ``run`` draws the same
 numbers ahead: all t_max flags in one call, then per chunk of C cheap steps
 (C from the byte budget ``_CHUNK_BYTES``) one call per agent, in agent
-order, and one row gather.  The last chunk holds the steps left, so every
-stream ends where a loop of ``step`` leaves it: the run is bitwise that loop.
+order, and one ``gather`` of the chunk's rows, which each step reads in place.
+The last chunk holds the steps left, so every stream ends where a loop of
+``step`` leaves it: the run is bitwise that loop.
 
 Output rule: the returned point is one iterate row drawn uniformly over all
 (t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``

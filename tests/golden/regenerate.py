@@ -2,7 +2,8 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python3 tests/golden/regenerate.py
+    PYTHONPATH=src python3 tests/golden/regenerate.py          # print drift, rewrite
+    PYTHONPATH=src python3 tests/golden/regenerate.py --check  # print drift only
 
 Each case is a short run with fixed seeds whose telemetry, counters and
 final vectors are stored as ``tests/golden/<case>.json``:
@@ -17,10 +18,13 @@ final vectors are stored as ``tests/golden/<case>.json``:
 file by ``compare``.  Before the script rewrites a file it prints the
 largest absolute and relative difference per column against the committed
 one, so that a change which regenerates the corpus can state its drift.
+With ``--check`` it prints the same table and writes nothing, so a change
+can state its drift without rewriting the corpus.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -183,7 +187,10 @@ def compare(new: dict, old: dict) -> list[str]:
     return faults
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Print the corpus drift and rewrite the corpus.")
+    parser.add_argument("--check", action="store_true", help="print the drift, write nothing")
+    check = parser.parse_args(argv).check
     for name, case in CASES.items():
         new = case()
         path = HERE / f"{name}.json"
@@ -193,7 +200,8 @@ def main() -> int:
                 print(f"  {col:>16} {ab:.2e} {rel:.2e}")
         else:
             print(f"{name}: new")
-        path.write_text(json.dumps(new, indent=1) + "\n")
+        if not check:
+            path.write_text(json.dumps(new, indent=1) + "\n")
     return 0
 
 

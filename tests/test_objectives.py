@@ -430,6 +430,28 @@ class TestPairedBatchDiff:
         assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
 
+def held_nbytes(batch):
+    """Bytes of the arrays a gathered batch holds: arrays, sparse matrices, tuples of them."""
+    if sp.issparse(batch):
+        return batch.data.nbytes + batch.indices.nbytes + batch.indptr.nbytes
+    if isinstance(batch, np.ndarray):
+        return batch.nbytes
+    return sum(held_nbytes(part) for part in batch)
+
+
+class TestBatchNbytes:
+    # The optimizer sizes its chunks by batch_nbytes, so it must track what
+    # gather holds per step.
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic", "a9a"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_tracks_what_gather_holds(self, kind, steps):
+        obj = a9a_shaped_logistic() if kind == "a9a" else fused_instances()[kind]
+        b = 55 if kind == "a9a" else 4
+        idx = np.random.default_rng(38).integers(0, obj.n, size=(steps, obj.m, b))
+        per_step = held_nbytes(obj.gather(idx)) / steps
+        assert 0.5 * obj.batch_nbytes(b) <= per_step <= 2.0 * obj.batch_nbytes(b)
+
+
 class TestStackedLayout:
     def test_block_diagonal_layout(self):
         rng = np.random.default_rng(40)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dearest import optimizer
+from dearest import objectives, optimizer
 from dearest.metrics import global_estimation_error, local_estimation_error, record
 from dearest.objectives import LogisticNCObjective, make_quadratic, make_synthetic_logistic
 from dearest.optimizer import (
@@ -32,7 +32,7 @@ from dearest.topology import (
     laplacian,
 )
 
-from reference import batch_grad_mean, reference_run
+from reference import BincountLogistic, batch_grad_mean, reference_run
 
 
 def make_w(graph):
@@ -567,7 +567,9 @@ class TestChunkedRun:
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
         # A structural guard: the chunked loop calls each agent's integers()
-        # once per chunk, and builds no scipy CSR matrix.
+        # and the objective's gather once per chunk, and each cheap step's
+        # matrix (rows and transpose) views its chunk's arrays: no step
+        # copies rows.
         obj = make_objective(kind, 4, 9, 3, seed=54)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=55)
@@ -590,19 +592,30 @@ class TestChunkedRun:
             rngs = tuple(CountingRng(rng, i) for i, rng in enumerate(state.agent_rngs))
             return dataclasses.replace(state, agent_rngs=rngs)
 
-        built = []
-        real_csr_init = sp.csr_matrix.__init__
+        chunks, views = [], []
+        real_gather, real_view = obj.gather, objectives._sparse_view
 
-        def counting_csr_init(self, *args, **kwargs):
-            built.append(1)
-            real_csr_init(self, *args, **kwargs)
+        def recording_gather(idx):
+            chunks.append(real_gather(idx))
+            return chunks[-1]
+
+        def recording_view(fmt, shape, data, indices, indptr):
+            views.append((data, indices))
+            return real_view(fmt, shape, data, indices, indptr)
 
         monkeypatch.setattr(optimizer, "init", counting_init)
-        monkeypatch.setattr(sp.csr_matrix, "__init__", counting_csr_init)
+        monkeypatch.setattr(obj, "gather", recording_gather)
+        monkeypatch.setattr(objectives, "_sparse_view", recording_view)
         run(obj, w, cfg, np.zeros(3))
         assert calls == [math.ceil(cheap_steps(cfg) / chunk)] * obj.m
         assert cheap_steps(cfg) > chunk
-        assert built == []
+        assert len(chunks) == math.ceil(cheap_steps(cfg) / chunk)
+        if kind != "quadratic":
+            assert len(views) == 2 * cheap_steps(cfg)
+            for k, (data, indices) in enumerate(views):
+                rows = chunks[k // (2 * chunk)][1]
+                assert np.shares_memory(data, rows.data)
+                assert np.shares_memory(indices, rows.indices)
 
 
 class TestAgainstReference:
@@ -632,3 +645,54 @@ class TestAgainstReference:
         for got, want in ((fs.x, ref.x), (res.x_out, ref.x_out)):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         assert np.max(np.abs(fs.s - ref.s)) <= 1e-10 * np.max(np.abs(ref.g))
+
+
+def sparse_shards(m, n, d, density, rng):
+    """Random CSR shards, rows often empty at low density, and their labels."""
+    feats = [sp.random(n, d, density=density, format="csr", random_state=rng) for _ in range(m)]
+    for f in feats:
+        f.data = rng.standard_normal(f.nnz)
+    return feats, [np.where(rng.random(n) < 0.5, 1.0, -1.0) for _ in range(m)]
+
+
+class TestNumpyKernelReference:
+    """The CSR-product cheap step against ``BincountLogistic``'s numpy kernel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 6), d=st.integers(1, 5), b=st.integers(1, 6),
+           chunk=st.sampled_from([1, 2, 3]), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=1, n=5, d=3, b=4, chunk=2, density=0.5, seed=1)
+    @example(m=3, n=4, d=3, b=1, chunk=3, density=0.3, seed=2)
+    @example(m=2, n=1, d=2, b=5, chunk=1, density=1.0, seed=3)
+    def test_bitwise_the_numpy_kernel(self, m, n, d, b, chunk, density, seed):
+        rng = np.random.default_rng(seed)
+        feats, labels = sparse_shards(m, n, d, density, rng)
+        obj = LogisticNCObjective(feats, labels, 1e-3)
+        ref = BincountLogistic(feats, labels, 1e-3)
+        # Direct calls: n < b forces repeated indices within a batch.
+        idx = rng.integers(0, n, size=(chunk, m, b))
+        batch, ref_batch = obj.gather(idx), ref.gather(idx)
+        for c in range(chunk):
+            x_new, x_old = rng.standard_normal((2, m, d))
+            np.testing.assert_array_equal(obj.batch_diff(batch, c, x_new, x_old),
+                                          ref.batch_diff(ref_batch, c, x_new, x_old))
+        if m == 1:
+            return
+        # Whole runs, C cheap steps per chunk on each side.
+        w = make_w(build_complete(m))
+        cfg = manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=b, p=0.3, t_max=30, seed=seed)
+        results = []
+        for o in (obj, ref):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimizer, "_CHUNK_BYTES", chunk * o.batch_nbytes(b))
+                results.append(run(o, w, cfg, np.linspace(-1.0, 1.0, d)))
+        res, want = results
+        for name in ("x", "g", "s"):
+            np.testing.assert_array_equal(getattr(res.final_state, name),
+                                          getattr(want.final_state, name))
+        np.testing.assert_array_equal(res.x_out, want.x_out)
+        assert res.telemetry == want.telemetry
+        for name in COUNTERS:
+            assert getattr(res.final_state, name) == getattr(want.final_state, name)
+        assert stream_states(res.final_state) == stream_states(want.final_state)
