@@ -9,13 +9,7 @@ oracle/communication cost counters.
 """
 
 from .datasets import Partition, SampleSet, parse_libsvm, partition, shard_matrices, write_libsvm
-from .metrics import (
-    TelemetryRecord,
-    consensus_error,
-    global_estimation_error,
-    local_estimation_error,
-    lyapunov,
-)
+from .metrics import TelemetryRecord, consensus_error
 from .mixing import chebyshev_momentum, fastmix
 from .objectives import (
     FiniteSumObjective,
@@ -74,13 +68,10 @@ __all__ = [
     "derive_config",
     "estimator_update",
     "fastmix",
-    "global_estimation_error",
     "gossip_from_laplacian",
     "gossip_from_matrix",
     "init",
     "laplacian",
-    "local_estimation_error",
-    "lyapunov",
     "make_quadratic",
     "make_synthetic_logistic",
     "parse_libsvm",

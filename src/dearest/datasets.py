@@ -85,9 +85,6 @@ class SampleSet:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    def dense_row(self, j: int) -> np.ndarray:
-        return self.features[j].toarray().ravel()
-
 
 @dataclass(frozen=True)
 class Partition:

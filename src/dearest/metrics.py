@@ -1,17 +1,18 @@
 """Convergence diagnostics computed from the aggregate optimizer state.
 
-Four scalar health measures plus the stationarity norm:
+``record`` writes one telemetry row: four scalar health measures plus the
+function value and stationarity norm at the mean iterate.
 
-* global estimation error -- squared norm of the network-mean gap between
-  the gradient estimators and the exact local gradients at each agent's own
-  iterate;
-* local estimation error -- mean squared per-agent gap (always at least the
-  global one, by convexity of the squared norm);
-* consensus error -- squared spread of the iterates plus eta^2 times the
-  squared spread of the trackers around their network means;
-* Lyapunov value -- f(mean iterate) + (eta/p) * (global + local errors)
-  + consensus error / (m * eta), the potential whose expected decrease
-  drives convergence.
+* ``u_t``, the global estimation error -- squared norm of the network-mean
+  gap between the gradient estimators and the exact local gradients at each
+  agent's own iterate;
+* ``v_t``, the local estimation error -- mean squared per-agent gap (always
+  at least the global one, by convexity of the squared norm);
+* ``c_t``, the consensus error -- squared spread of the iterates plus eta^2
+  times the squared spread of the trackers around their network means;
+* ``phi_t``, the Lyapunov value -- f(mean iterate) + (eta/p) * (u_t + v_t)
+  + c_t / (m * eta), the potential whose expected decrease drives
+  convergence; NaN at eta = 0, where it is undefined.
 
 All exact gradients used here are diagnostics and are never charged to the
 run's oracle counters.
@@ -32,10 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "TelemetryRecord",
     "CSV_HEADER",
-    "global_estimation_error",
-    "local_estimation_error",
     "consensus_error",
-    "lyapunov",
     "record",
     "format_csv_row",
 ]
@@ -64,35 +62,11 @@ class TelemetryRecord:
     comm_cum: int
 
 
-def _estimation_errors(state: "AggregateState", obj: FiniteSumObjective) -> tuple[float, float]:
-    """(u_t, v_t): the global and local estimation errors, from one ``grad_rows`` pass."""
-    gap = state.g - obj.grad_rows(state.x)
-    mean_gap = gap.mean(axis=0)
-    return float(mean_gap @ mean_gap), float(np.sum(gap * gap)) / gap.shape[0]
-
-
-def global_estimation_error(state: "AggregateState", obj: FiniteSumObjective) -> float:
-    """Squared norm of the mean estimator error across agents."""
-    return _estimation_errors(state, obj)[0]
-
-
-def local_estimation_error(state: "AggregateState", obj: FiniteSumObjective) -> float:
-    """Mean squared per-agent estimator error (realized, not an expectation)."""
-    return _estimation_errors(state, obj)[1]
-
-
 def consensus_error(state: "AggregateState", cfg: "RunConfig") -> float:
     """Squared deviation of iterates and (eta-weighted) trackers from their means."""
     dev_x = state.x - state.x.mean(axis=0)
     dev_s = state.s - state.s.mean(axis=0)
     return float(np.sum(dev_x * dev_x) + cfg.eta**2 * np.sum(dev_s * dev_s))
-
-
-def lyapunov(state: "AggregateState", obj: FiniteSumObjective, cfg: "RunConfig") -> float:
-    """f at the mean iterate plus the weighted error and consensus penalties."""
-    if cfg.eta <= 0.0:
-        raise ValueError("the Lyapunov value is undefined for a zero stepsize")
-    return record(state, obj, cfg, y_t=state.y_last, k_t=state.k_last).phi_t
 
 
 def record(
@@ -109,7 +83,9 @@ def record(
     f_bar and the gradient norm.
     """
     m = state.x.shape[0]
-    u, v = _estimation_errors(state, obj)
+    gap = state.g - obj.grad_rows(state.x)
+    mean_gap = gap.mean(axis=0)
+    u, v = float(mean_gap @ mean_gap), float(np.sum(gap * gap)) / m
     c = consensus_error(state, cfg)
     x_bar = state.x.mean(axis=0)
     f_bar, grad = obj.global_value_and_grad(x_bar)

@@ -7,8 +7,8 @@ the average of the local ones.  The optimizer touches component gradients
 agent (``grad_rows``), and the cheap-step paired difference of mini-batch
 means for all agents at once.  A chunk of C cheap steps shares one row
 gather: ``gather`` takes their (C, m, b) indices and ``batch_diff`` computes
-step c, bitwise the same for every C; ``paired_batch_diff`` is one step.
-Exact global values and gradients exist for diagnostics.
+step c, bitwise the same for every C.  Exact global values and gradients
+exist for diagnostics.
 
 Two concrete instances:
 
@@ -17,6 +17,8 @@ Two concrete instances:
   dense or sparse, are stored once as one block-diagonal (m*n, m*d) CSR
   matrix: a full pass is one sparse product each way, a chunk of cheap
   steps one scipy row gather, and a step three products over a view of it.
+  The sigmoid is numpy's tanh, 0.5 + 0.5 * tanh(t / 2), which cannot
+  overflow.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests; gradients come from Gram sums.
 """
@@ -31,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 __all__ = [
     "FiniteSumObjective",
@@ -83,10 +84,6 @@ class FiniteSumObjective(abc.ABC):
         """Step c's paired differences, (m, d): row i is the mean, over idx[c, i]
         with multiplicity, of grad f_ij(x_new[i]) - grad f_ij(x_old[i])."""
 
-    def paired_batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        """``batch_diff`` of one step, from an (m, b) index matrix."""
-        return self.batch_diff(self.gather(np.asarray(idx)[None]), 0, x_new, x_old)
-
     @abc.abstractmethod
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Exact global value and gradient at x, from one pass over the data."""
@@ -115,6 +112,11 @@ def _regularizer_value(x: np.ndarray, lam: float) -> float:
 def _regularizer_grad(x: np.ndarray, lam: float) -> np.ndarray:
     denom = 1.0 + x * x
     return lam * 2.0 * x / (denom * denom)
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    # The logistic 1 / (1 + exp(-t)) through tanh: no exp to overflow, no warning.
+    return 0.5 + 0.5 * np.tanh(0.5 * t)
 
 
 def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
@@ -213,11 +215,11 @@ class LogisticNCObjective(FiniteSumObjective):
         b = self._y[i * self.n + j]
         a = self._row(i, j)
         z = b * float(a @ x)
-        return -b * float(expit(-z)) * a + _regularizer_grad(x, self.lambda_reg)
+        return -b * float(_sigmoid(-z)) * a + _regularizer_grad(x, self.lambda_reg)
 
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
         z = self._y * (self._x @ x.ravel())
-        coef = -(self._y * expit(-z)) / self.n
+        coef = -(self._y * _sigmoid(-z)) / self.n
         return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
     def gather(self, idx: np.ndarray) -> tuple:
@@ -233,7 +235,7 @@ class LogisticNCObjective(FiniteSumObjective):
         # Step c's rows, and their transpose as a CSC matrix over the same arrays.
         sc = _sparse_view(sp.csr_matrix, (lab.size, m * d), *view)
         z_new, z_old = lab * (sc @ x_new.ravel()), lab * (sc @ x_old.ravel())
-        coef = lab * (expit(-z_old) - expit(-z_new)) / (lab.size // m)
+        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / (lab.size // m)
         lin = _sparse_view(sp.csc_matrix, (m * d, lab.size), *view) @ coef
         reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
         return lin.reshape(m, d) + reg
@@ -252,7 +254,7 @@ class LogisticNCObjective(FiniteSumObjective):
 
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         value, z = self._global_value_and_margins(x)
-        coef = -(self._y * expit(-z)) / self._y.size
+        coef = -(self._y * _sigmoid(-z)) / self._y.size
         lin = (self._xt @ coef).reshape(self.m, self.d).sum(axis=0)
         return value, lin + _regularizer_grad(x, self.lambda_reg)
 

@@ -18,7 +18,10 @@ directly from the definitions as possible, so that the fast paths in
   with scalar flag draws and ``size=b`` index draws from the same streams as
   ``dearest.optimizer``.
 
-Only tests import this module.
+The logistic functions share the library's ``_sigmoid``, so that the
+layout and kernel checks can compare bitwise; ``tests/test_objectives.py``
+checks that sigmoid against scipy's ``expit``.  Only tests import this
+module.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from dearest.mixing import chebyshev_momentum
-from dearest.objectives import LogisticNCObjective, QuadraticObjective
+from dearest.objectives import LogisticNCObjective, QuadraticObjective, _sigmoid
 
 
 def _regularizer_value(x, lam):
@@ -58,7 +60,7 @@ def local_grad(obj, i, x):
         return np.einsum("jqd,jq->d", obj.a[i], r) / obj.n
     f, lab = obj.features[i], obj.labels[i]
     z = lab * np.asarray(f @ x).ravel()
-    coef = -(lab * expit(-z)) / obj.n
+    coef = -(lab * _sigmoid(-z)) / obj.n
     return np.asarray(f.T @ coef).ravel() + _regularizer_grad(x, obj.lambda_reg)
 
 
@@ -78,7 +80,7 @@ def batch_grad_mean(obj, i, indices, x):
     f = obj.features[i][indices]
     lab = obj.labels[i][indices]
     z = lab * np.asarray(f @ x).ravel()
-    coef = -(lab * expit(-z)) / len(indices)
+    coef = -(lab * _sigmoid(-z)) / len(indices)
     return np.asarray(f.T @ coef).ravel() + _regularizer_grad(x, obj.lambda_reg)
 
 
@@ -113,7 +115,7 @@ class BincountLogistic(LogisticNCObjective):
         data, flat, row = batch[1][lo:hi], batch[2][lo:hi], batch[3][lo:hi]
         z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=m * b)
         z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=m * b)
-        coef = lab * (expit(-z_old) - expit(-z_new)) / b
+        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / b
         lin = np.bincount(flat, data * coef[row], minlength=m * d)
         return lin.reshape(m, d) + (_regularizer_grad(x_new, self.lambda_reg)
                                     - _regularizer_grad(x_old, self.lambda_reg))

@@ -33,7 +33,7 @@ class TestParse:
         assert samples.n_samples == 1
         assert samples.d == 3
         assert samples.labels[0] == 1.0
-        np.testing.assert_array_equal(samples.dense_row(0), [0.5, 0.0, 2.0])
+        np.testing.assert_array_equal(samples.features[0].toarray().ravel(), [0.5, 0.0, 2.0])
 
     def test_dimension_inferred_from_max_index(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, "+1 2:1.0\n-1 5:3.0\n"))
@@ -46,7 +46,7 @@ class TestParse:
     def test_empty_feature_list_is_valid(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, "-1\n+1 2:1.0\n"))
         assert samples.n_samples == 2
-        np.testing.assert_array_equal(samples.dense_row(0), [0.0, 0.0])
+        np.testing.assert_array_equal(samples.features[0].toarray().ravel(), [0.0, 0.0])
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DatasetError, match="cannot read"):

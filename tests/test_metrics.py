@@ -5,19 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from dearest.metrics import (
-    CSV_HEADER,
-    consensus_error,
-    format_csv_row,
-    global_estimation_error,
-    local_estimation_error,
-    lyapunov,
-    record,
-)
+from dearest.metrics import CSV_HEADER, consensus_error, format_csv_row, record
 from dearest.mixing import fastmix
 from dearest.objectives import make_quadratic, make_synthetic_logistic
 from dearest.optimizer import AggregateState, RunConfig, init, run, step
 from dearest.topology import build_ring, gossip_from_laplacian, laplacian
+
+from reference import local_grad
 
 
 def make_w(m):
@@ -41,6 +35,12 @@ def raw_state(x, g, s):
     )
 
 
+def errors(state, obj):
+    """(u_t, v_t) of the telemetry row for ``state``."""
+    rec = record(state, obj, config(state.x.shape[0]), y_t=0, k_t=0)
+    return rec.u_t, rec.v_t
+
+
 class TestEstimationErrors:
     def test_symmetric_perturbation_cancels_in_the_mean(self):
         # m=2, n=2, d=1: estimators off by (+delta, -delta) leave the mean
@@ -50,17 +50,15 @@ class TestEstimationErrors:
         x = np.zeros((2, 1))
         exact = obj.grad_rows(x)
         g = exact + np.array([[delta], [-delta]])
-        state = raw_state(x, g, g.copy())
-        assert global_estimation_error(state, obj) == pytest.approx(0.0, abs=1e-15)
-        assert local_estimation_error(state, obj) == pytest.approx(delta**2, rel=1e-12)
+        u, v = errors(raw_state(x, g, g.copy()), obj)
+        assert u == pytest.approx(0.0, abs=1e-15)
+        assert v == pytest.approx(delta**2, rel=1e-12)
 
     def test_zero_at_exact_estimators(self):
         obj = make_quadratic(3, 4, 2, seed=1)
         x = np.tile(np.array([0.5, -1.0]), (3, 1))
         g = obj.grad_rows(x)
-        state = raw_state(x, g, g.copy())
-        assert global_estimation_error(state, obj) == 0.0
-        assert local_estimation_error(state, obj) == 0.0
+        assert errors(raw_state(x, g, g.copy()), obj) == (0.0, 0.0)
 
     def test_jensen_inequality_on_random_states(self):
         obj = make_quadratic(5, 4, 3, seed=2)
@@ -68,9 +66,7 @@ class TestEstimationErrors:
         for _ in range(25):
             x = rng.standard_normal((5, 3))
             g = obj.grad_rows(x) + rng.standard_normal((5, 3))
-            state = raw_state(x, g, g.copy())
-            u = global_estimation_error(state, obj)
-            v = local_estimation_error(state, obj)
+            u, v = errors(raw_state(x, g, g.copy()), obj)
             assert u <= v * (1.0 + 1e-12)
 
     def test_zero_after_refresh_and_at_start(self):
@@ -78,14 +74,13 @@ class TestEstimationErrors:
         w = make_w(3)
         cfg = config(3, p=0.5)
         state = init(obj, w, cfg, np.zeros(3))
-        assert local_estimation_error(state, obj) == 0.0  # t = 0
+        assert errors(state, obj) == (0.0, 0.0)  # t = 0
         saw_refresh = False
         for _ in range(30):
             state = step(state, obj, w, cfg)
             if state.y_last == 1:
                 saw_refresh = True
-                assert global_estimation_error(state, obj) == 0.0
-                assert local_estimation_error(state, obj) == 0.0
+                assert errors(state, obj) == (0.0, 0.0)
         assert saw_refresh
 
 
@@ -132,7 +127,7 @@ class TestLyapunov:
         g = obj.grad_rows(x)
         s = np.tile(g.mean(axis=0), (4, 1))
         state = raw_state(x, g, s)
-        assert lyapunov(state, obj, config(4)) == pytest.approx(
+        assert record(state, obj, config(4), y_t=0, k_t=0).phi_t == pytest.approx(
             obj.global_value(x_bar), rel=1e-12
         )
 
@@ -143,36 +138,41 @@ class TestLyapunov:
         state = init(obj, w, cfg, np.zeros(3))
         for _ in range(5):
             state = step(state, obj, w, cfg)
-        u = global_estimation_error(state, obj)
-        v = local_estimation_error(state, obj)
+        # The estimation errors from the per-agent reference gradients, not
+        # from the row under test.
+        gap = state.g - np.stack([local_grad(obj, i, state.x[i]) for i in range(4)])
+        u = float(np.sum(gap.mean(axis=0) ** 2))
+        v = float(np.sum(gap * gap)) / 4
+        assert v > 0.0
         c = consensus_error(state, cfg)
         f_bar = obj.global_value(state.x.mean(axis=0))
         composed = f_bar + (cfg.eta / cfg.p) * (u + v) + c / (4 * cfg.eta)
-        assert lyapunov(state, obj, cfg) == pytest.approx(composed, rel=1e-12)
-
-    def test_zero_stepsize_rejected(self):
-        obj = make_quadratic(2, 3, 2, seed=8)
-        state = raw_state(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="stepsize"):
-            lyapunov(state, obj, config(2, eta=0.0))
+        rec = record(state, obj, cfg, y_t=state.y_last, k_t=state.k_last)
+        assert rec.phi_t == pytest.approx(composed, rel=1e-12)
 
 
 class TestTelemetryRecord:
     def test_fields_and_counters(self):
         obj = make_synthetic_logistic(3, 8, 3, 1e-4, seed=9)
         w = make_w(3)
-        cfg = config(3)
-        state = init(obj, w, cfg, np.zeros(3))
-        rec = record(state, obj, cfg, y_t=1, k_t=cfg.big_k)
-        assert rec.t == 0
-        assert rec.y_t == 1 and rec.k_t == cfg.big_k
-        assert rec.u_t == 0.0 and rec.v_t == 0.0
-        assert rec.ifo_cum == state.ifo_count
-        assert rec.comm_cum == state.comm_rounds
-        assert rec.grad_norm == pytest.approx(
-            np.linalg.norm(obj.global_grad(state.x.mean(axis=0))), rel=1e-12
-        )
-        assert rec.phi_t == pytest.approx(lyapunov(state, obj, cfg), rel=1e-12)
+        for eta in (0.1, 0.0):
+            cfg = config(3, eta=eta)
+            state = init(obj, w, cfg, np.zeros(3))
+            rec = record(state, obj, cfg, y_t=1, k_t=cfg.big_k)
+            assert rec.t == 0
+            assert rec.y_t == 1 and rec.k_t == cfg.big_k
+            assert rec.u_t == 0.0 and rec.v_t == 0.0
+            assert rec.ifo_cum == state.ifo_count
+            assert rec.comm_cum == state.comm_rounds
+            x_bar = state.x.mean(axis=0)
+            assert rec.f_bar == obj.global_value(x_bar)
+            assert rec.grad_norm == pytest.approx(np.linalg.norm(obj.global_grad(x_bar)), rel=1e-12)
+            if eta > 0.0:
+                # Exact estimators at t = 0: phi is f_bar plus the consensus term.
+                assert rec.phi_t == pytest.approx(rec.f_bar + rec.c_t / (3 * eta), rel=1e-12)
+            else:
+                # The Lyapunov value is undefined for a zero stepsize.
+                assert math.isnan(rec.phi_t)
 
     def test_csv_row_matches_header(self):
         obj = make_quadratic(3, 4, 2, seed=10)

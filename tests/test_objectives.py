@@ -1,6 +1,10 @@
 """Objective oracles: values, gradients, smoothness bounds, batching."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -9,9 +13,11 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dearest
 from dearest.objectives import (
     LogisticNCObjective,
     QuadraticObjective,
+    _sigmoid,
     make_quadratic,
     make_synthetic_logistic,
 )
@@ -74,6 +80,43 @@ class TestLogisticValues:
             assert obj.global_value(x) >= 0.0
             assert obj.component_value(0, 0, x) >= 0.0
         assert obj.value_lower_bound == 0.0
+
+
+class TestSigmoid:
+    def test_matches_scipy_expit(self):
+        # The only test that loads scipy.special: the library's tanh form
+        # against scipy's expit, within one unit of 2**-52 everywhere.
+        from scipy.special import expit
+
+        t = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                            np.random.default_rng(50).standard_normal(100_000)])
+        with np.errstate(all="raise"):
+            got = _sigmoid(t)
+            assert np.max(np.abs(got - expit(t))) <= 2.0**-52
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            edge = _sigmoid(np.array([0.0, np.inf, -np.inf, np.nan]))
+        assert edge[0] == 0.5 and edge[1] == 1.0 and edge[2] == 0.0
+        assert np.isnan(edge[3])
+
+    def test_a_logistic_run_does_not_load_scipy_special(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import dearest
+            obj = dearest.make_synthetic_logistic(3, 8, 2, 1e-3, seed=0)
+            w = dearest.gossip_from_laplacian(dearest.laplacian(dearest.build_ring(3)))
+            cfg = dearest.RunConfig(eta=0.1, b=2, p=0.3, big_k=2, hat_k=2, k_in=2, t_max=20,
+                                    epsilon=1e-3, shared_seed=0, agent_seeds=(0, 1, 2),
+                                    output_seed=0)
+            res = dearest.run(obj, w, cfg, np.zeros(2))
+            assert len(res.telemetry) > 0
+            print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
+        """)
+        src = os.path.dirname(os.path.dirname(dearest.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestLogisticGradients:
@@ -320,6 +363,11 @@ class TestSyntheticLogistic:
             assert np.all(np.abs(lab) == 1.0)
 
 
+def one_step_diff(obj, idx, x_new, x_old):
+    """``batch_diff`` of one cheap step, from an (m, b) index matrix."""
+    return obj.batch_diff(obj.gather(idx[None]), 0, x_new, x_old)
+
+
 def loop_paired_diff(obj, idx, x_new, x_old):
     """The per-agent reference: two ``batch_grad_mean`` calls per agent."""
     return np.stack([
@@ -364,7 +412,7 @@ class TestPairedBatchDiff:
         idx = np.array([[0, 2, 2, 8], [5, 5, 5, 5], [1, 3, 1, 0], [8, 7, 6, 8]])
         x_new = rng.standard_normal((obj.m, obj.d))
         x_old = rng.standard_normal((obj.m, obj.d))
-        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_single_sample_batch(self, kind):
@@ -373,7 +421,7 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, obj.n, size=(obj.m, 1))
         x_new = rng.standard_normal((obj.m, obj.d))
         x_old = rng.standard_normal((obj.m, obj.d))
-        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_single_agent(self, kind):
@@ -388,14 +436,14 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, obj.n, size=(1, 5))
         x_new = rng.standard_normal((1, obj.d))
         x_old = rng.standard_normal((1, obj.d))
-        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_equal_points_give_exact_zero(self, kind):
         obj = fused_instances()[kind]
         x = np.random.default_rng(36).standard_normal((obj.m, obj.d))
         idx = np.zeros((obj.m, 3), dtype=np.int64)
-        np.testing.assert_array_equal(obj.paired_batch_diff(idx, x, x.copy()), 0.0)
+        np.testing.assert_array_equal(one_step_diff(obj, idx, x, x.copy()), 0.0)
 
     def test_a9a_shape(self):
         obj = a9a_shaped_logistic()
@@ -403,7 +451,7 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, obj.n, size=(obj.m, 55))
         x_old = 0.1 * rng.standard_normal((obj.m, obj.d))
         x_new = x_old + 0.01 * rng.standard_normal((obj.m, obj.d))
-        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -427,7 +475,7 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, n, size=(m, b))
         x_new = rng.standard_normal((m, d))
         x_old = rng.standard_normal((m, d))
-        assert_rel_close(obj.paired_batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
 
 def held_nbytes(batch):
@@ -441,7 +489,9 @@ def held_nbytes(batch):
 
 class TestBatchNbytes:
     # The optimizer sizes its chunks by batch_nbytes, so it must track what
-    # gather holds per step.
+    # gather holds per step.  Every instance here has the same number of
+    # nonzeros in each row, so the estimate is all but exact: the a9a shape
+    # holds 198,004 bytes per step at C = 1 against 198,000.
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic", "a9a"])
     @pytest.mark.parametrize("steps", [1, 3])
     def test_tracks_what_gather_holds(self, kind, steps):
@@ -449,7 +499,7 @@ class TestBatchNbytes:
         b = 55 if kind == "a9a" else 4
         idx = np.random.default_rng(38).integers(0, obj.n, size=(steps, obj.m, b))
         per_step = held_nbytes(obj.gather(idx)) / steps
-        assert 0.5 * obj.batch_nbytes(b) <= per_step <= 2.0 * obj.batch_nbytes(b)
+        assert per_step == pytest.approx(obj.batch_nbytes(b), rel=0.01)
 
 
 class TestStackedLayout:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dearest import objectives, optimizer
-from dearest.metrics import global_estimation_error, local_estimation_error, record
+from dearest.metrics import record
 from dearest.objectives import LogisticNCObjective, make_quadratic, make_synthetic_logistic
 from dearest.optimizer import (
     ConfigError,
@@ -147,9 +147,10 @@ class TestInit:
     def test_exact_initial_estimators(self):
         obj = make_quadratic(4, 8, 3, seed=0)
         w = make_w(build_ring(4))
-        state = init(obj, w, manual_config(4), np.zeros(3))
-        assert global_estimation_error(state, obj) == 0.0
-        assert local_estimation_error(state, obj) == 0.0
+        cfg = manual_config(4)
+        state = init(obj, w, cfg, np.zeros(3))
+        rec = record(state, obj, cfg, y_t=1, k_t=cfg.big_k)
+        assert rec.u_t == 0.0 and rec.v_t == 0.0
 
     def test_mean_iterate_is_x0(self):
         obj = make_quadratic(4, 8, 3, seed=0)

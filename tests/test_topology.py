@@ -344,6 +344,23 @@ class TestGossipMatrix:
         with pytest.raises(GossipMatrixError, match="not simple"):
             gossip_from_matrix(np.eye(3))
 
+    @pytest.mark.parametrize("case", ["triangle-zero-diagonal", "ring6-heavy-edges"])
+    def test_raw_matrix_rejects_negative_eigenvalues(self, case):
+        # FastMix's momentum contracts at its promised rate only on a
+        # spectrum in [0, lambda2].  Zero diagonal, 0.5 elsewhere: -0.5
+        # twice.  The 6-ring with 0.45 per edge and 0.1 on the diagonal:
+        # 0.1 + 0.9 cos(2 pi k / 6), down to -0.8.
+        if case == "triangle-zero-diagonal":
+            w, smallest = 0.5 * (np.ones((3, 3)) - np.eye(3)), -0.5
+        else:
+            g = build_ring(6)
+            w = 0.1 * np.eye(6) + 0.45 * g.adjacency()
+            smallest = -0.8
+        with pytest.raises(GossipMatrixError, match="smallest eigenvalue -0\\.[0-9]+ is negative") as err:
+            gossip_from_matrix(w)
+        value = float(str(err.value).split()[2])
+        assert value == pytest.approx(smallest, abs=1e-12)
+
     def test_matrix_is_read_only(self):
         w = gossip_from_laplacian(laplacian(build_ring(5)))
         with pytest.raises(ValueError):
