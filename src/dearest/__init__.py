@@ -41,7 +41,6 @@ from .topology import (
     gossip_from_matrix,
     laplacian,
     read_graph_file,
-    spectral_gap,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +78,6 @@ __all__ = [
     "read_graph_file",
     "run",
     "shard_matrices",
-    "spectral_gap",
     "step",
     "theorem_config",
     "write_libsvm",

@@ -19,8 +19,10 @@ k * sqrt(eta_u)^k).  Two all-k bounds hold and the tests pin both down:
 k rounds of the recursion apply a fixed matrix, the mixing polynomial
 P_k(W) = V diag(p_k(lambda)) V^T, where W = V diag(lambda) V^T and p_k is the
 scalar recursion p(-1) = p(0) = 1, p(j+1) = (1 + eta_u) lambda p(j) -
-eta_u p(j-1).  ``fastmix`` builds P_k(W) once per gossip matrix and k, keeps
-it in ``GossipMatrix.polynomials`` and then mixes with one matrix product.
+eta_u p(j-1).  ``fastmix`` builds P_k(W) once per gossip matrix and k from
+``GossipMatrix.spectrum``, the eigendecomposition that the matrix's
+constructor computed, so mixing itself makes no LAPACK call.  It keeps P_k(W)
+in ``GossipMatrix.polynomials`` and then mixes with one matrix product.
 The recursion stays the definition; the tests run it round by round as the
 reference.  Each cached k costs m^2 * 8 bytes (8 MB at m = 1000) on top of
 W's eigenvectors, and a run uses at most three values of k.

@@ -165,8 +165,8 @@ def theorem_config(
     )
     if smoothness <= 0.0:
         raise ConfigError(f"smoothness constant must be > 0, got {smoothness}")
-    if not -1.0 < lambda2 < 1.0:
-        raise ConfigError(f"lambda2 must be in (-1, 1), got {lambda2}")
+    if not 0.0 <= lambda2 < 1.0:
+        raise ConfigError(f"lambda2 must be in [0, 1), got {lambda2}")
     if epsilon <= 0.0:
         raise ConfigError(f"stationarity target must be > 0, got {epsilon}")
     if f0_minus_fstar_bound < 0.0:

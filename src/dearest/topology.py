@@ -4,19 +4,17 @@ Agents sit on the vertices of an undirected connected graph and may only
 exchange information along edges.  The mixing (gossip) matrix is built as
 W = I - L/lambda1(L), where L is the combinatorial Laplacian and lambda1(L)
 its largest eigenvalue.  The second-largest eigenvalue of W and the spectral
-gap 1 - lambda2(W) govern how fast repeated gossip averages the network, so
-they are computed once and cached on the matrix.
+gap 1 - lambda2(W) govern how fast repeated gossip averages the network.
 
-Spectra come from LAPACK through ``np.linalg.eigvalsh``.  A GossipMatrix
-also computes its full eigendecomposition (``np.linalg.eigh``) the first
-time it is asked for it and keeps it, together with the mixing polynomials
-that ``dearest.mixing.fastmix`` builds from it.
+Each constructor makes one LAPACK call, ``np.linalg.eigh``, and everything
+spectral reads its result: the validation checks, lambda2, and the mixing
+polynomials that ``dearest.mixing.fastmix`` builds.  W = I - L/lambda1 has
+the eigenvectors of L, so a Laplacian's decomposition serves W as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,6 @@ __all__ = [
     "laplacian",
     "gossip_from_laplacian",
     "gossip_from_matrix",
-    "spectral_gap",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -212,40 +209,30 @@ def laplacian(g: Graph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GossipMatrix:
-    """Symmetric mixing matrix with cached spectral quantities.
+    """Symmetric mixing matrix with its eigendecomposition.
 
     ``lambda2`` is the second-largest eigenvalue and ``gap = 1 - lambda2``.
-    Instances come from ``gossip_from_laplacian`` or ``gossip_from_matrix``,
-    which enforce symmetry, unit row sums, the edge sparsity pattern, and a
-    simple unit eigenvalue; the array is frozen read-only.  ``spectrum`` and
-    ``polynomials`` are per-instance caches filled on first use, so every run
-    that shares one instance shares them.
+    ``spectrum`` is (eigenvalues ascending, orthonormal eigenvectors as
+    columns) of W.  Instances come from ``gossip_from_laplacian`` or
+    ``gossip_from_matrix``, which enforce symmetry, unit row sums, the edge
+    sparsity pattern, and a simple unit eigenvalue; the arrays are frozen
+    read-only.  ``polynomials`` holds the mixing polynomials P_K(W) by round
+    count K that ``fastmix`` builds, so every run that shares one instance
+    shares them; ``dataclasses.replace`` starts a copy with an empty one.
     """
 
     w: np.ndarray
     lambda2: float
-    gap: float
+    spectrum: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    polynomials: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def m(self) -> int:
         return self.w.shape[0]
 
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues ascending, orthonormal eigenvectors as columns) of W.
-
-        Computed with LAPACK on first use and kept, read-only, for the life
-        of the matrix.
-        """
-        lam, v = np.linalg.eigh(self.w)
-        lam.setflags(write=False)
-        v.setflags(write=False)
-        return lam, v
-
-    @cached_property
-    def polynomials(self) -> dict[int, np.ndarray]:
-        """Mixing polynomials P_K(W) by round count K, filled by ``fastmix``."""
-        return {}
+    @property
+    def gap(self) -> float:
+        return 1.0 - self.lambda2
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -254,22 +241,25 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise GossipMatrixError(f"{what} has non-finite entries")
 
 
-def _finish_gossip(w: np.ndarray, lambda2: float) -> GossipMatrix:
-    # Rounding can leave lambda2 a hair outside [0, 1); clamp tiny values to
-    # zero so downstream sqrt(1 - lambda2^2) never sees a negative.
-    if abs(lambda2) < 1e-15:
+def _finish_gossip(w: np.ndarray, lam: np.ndarray, v: np.ndarray) -> GossipMatrix:
+    # The checks accept eigenvalues down to -1e-10 for rounding; clamp such a
+    # lambda2 (and tiny positive ones) to zero, where chebyshev_momentum takes
+    # plain averaging and sqrt(1 - lambda2^2) never sees rounding noise.
+    lambda2 = float(lam[-2]) if lam.size >= 2 else 0.0
+    if lambda2 < 1e-15:
         lambda2 = 0.0
-    w = np.array(w, dtype=float)
-    w.setflags(write=False)
-    return GossipMatrix(w=w, lambda2=float(lambda2), gap=float(1.0 - lambda2))
+    for a in (w, lam, v):
+        a.setflags(write=False)
+    return GossipMatrix(w=w, lambda2=lambda2, spectrum=(lam, v))
 
 
 def gossip_from_laplacian(lap: np.ndarray) -> GossipMatrix:
     """Build W = I - L/lambda1(L) from a connected-graph Laplacian.
 
-    The Laplacian spectrum gives W's spectrum directly: eigenvalues of W are
-    1 - mu/lambda1 for Laplacian eigenvalues mu, so they all lie in [0, 1]
-    with 1 attained exactly once when the graph is connected.
+    The Laplacian's eigendecomposition gives W's: eigenvalues of W are
+    1 - mu/lambda1 for Laplacian eigenvalues mu, on the same eigenvectors,
+    so they all lie in [0, 1] with 1 attained exactly once when the graph is
+    connected.
     """
     lap = np.asarray(lap, dtype=float)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
@@ -282,14 +272,13 @@ def gossip_from_laplacian(lap: np.ndarray) -> GossipMatrix:
         raise GossipMatrixError("Laplacian is not symmetric")
     if np.max(np.abs(lap.sum(axis=1))) > ROW_SUM_TOL:
         raise GossipMatrixError("Laplacian rows must sum to zero")
-    mu = np.linalg.eigvalsh(lap)
+    mu, v = np.linalg.eigh(lap)
     if abs(mu[0]) > 1e-8:
         raise GossipMatrixError(f"smallest Laplacian eigenvalue {mu[0]:.3e} is not ~0")
     if mu[1] <= 1e-12:
         raise GossipMatrixError("Laplacian has a repeated zero eigenvalue: graph is disconnected")
     lam1 = float(mu[-1])
-    w = np.eye(m) - lap / lam1
-    return _finish_gossip(w, 1.0 - mu[1] / lam1)
+    return _finish_gossip(np.eye(m) - lap / lam1, 1.0 - mu[::-1] / lam1, v[:, ::-1])
 
 
 def gossip_from_matrix(w: np.ndarray, graph: Graph | None = None) -> GossipMatrix:
@@ -299,8 +288,9 @@ def gossip_from_matrix(w: np.ndarray, graph: Graph | None = None) -> GossipMatri
     off the edge set when a graph is given, a simple eigenvalue at 1, and all
     other eigenvalues in [0, 1) (-1e-10 allowed for rounding): FastMix's
     momentum contracts at its promised rate only on a nonnegative spectrum.
+    The matrix is copied, so freezing it leaves the caller's array writable.
     """
-    w = np.asarray(w, dtype=float)
+    w = np.array(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise GossipMatrixError(f"mixing matrix must be square, got shape {w.shape}")
     _require_finite(w, "mixing matrix")
@@ -310,38 +300,19 @@ def gossip_from_matrix(w: np.ndarray, graph: Graph | None = None) -> GossipMatri
     rows = w.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
         worst = int(np.argmax(np.abs(rows - 1.0)))
-        raise GossipMatrixError(f"row {worst} sums to {rows[worst]!r}, expected 1")
+        raise GossipMatrixError(f"row {worst} sums to {float(rows[worst])}, expected 1")
     if graph is not None:
         if graph.m != m:
             raise GossipMatrixError(f"matrix is {m}x{m} but graph has {graph.m} agents")
         off_edge = np.triu(graph.adjacency() == 0.0, k=1) & (w != 0.0)
         if off_edge.any():
             i, j = (int(x) for x in np.argwhere(off_edge)[0])
-            raise GossipMatrixError(f"nonzero weight {w[i, j]!r} on non-edge ({i}, {j})")
-    ev = np.linalg.eigvalsh(w)
-    if abs(ev[-1] - 1.0) > 1e-8:
-        raise GossipMatrixError(f"largest eigenvalue {ev[-1]!r} is not 1")
-    if m >= 2 and ev[-2] >= 1.0 - 1e-12:
+            raise GossipMatrixError(f"nonzero weight {float(w[i, j])} on non-edge ({i}, {j})")
+    lam, v = np.linalg.eigh(w)
+    if abs(lam[-1] - 1.0) > 1e-8:
+        raise GossipMatrixError(f"largest eigenvalue {float(lam[-1])} is not 1")
+    if m >= 2 and lam[-2] >= 1.0 - 1e-12:
         raise GossipMatrixError("eigenvalue 1 is not simple: the graph is effectively disconnected")
-    if ev[0] < -1e-10:
-        raise GossipMatrixError(f"smallest eigenvalue {float(ev[0])!r} is negative; expected [0, 1)")
-    return _finish_gossip(w, ev[-2] if m >= 2 else 0.0)
-
-
-def spectral_gap(w: GossipMatrix | np.ndarray) -> tuple[float, float]:
-    """Return (lambda2, 1 - lambda2) for a symmetric mixing matrix.
-
-    Accepts either a validated GossipMatrix (cached values) or a raw symmetric
-    array, for which the full spectrum is computed with LAPACK.
-    """
-    if isinstance(w, GossipMatrix):
-        return w.lambda2, w.gap
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise GossipMatrixError(f"expected a square matrix, got shape {w.shape}")
-    _require_finite(w, "matrix")
-    if np.max(np.abs(w - w.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(w))):
-        raise GossipMatrixError("matrix is not symmetric")
-    ev = np.linalg.eigvalsh(w)
-    lam2 = float(ev[-2]) if w.shape[0] >= 2 else float(ev[-1])
-    return lam2, 1.0 - lam2
+    if lam[0] < -1e-10:
+        raise GossipMatrixError(f"smallest eigenvalue {float(lam[0])} is negative; expected [0, 1)")
+    return _finish_gossip(w, lam, v)

@@ -3,7 +3,7 @@
 Run from the repository root::
 
     PYTHONPATH=src python3 tests/golden/regenerate.py          # print drift, rewrite
-    PYTHONPATH=src python3 tests/golden/regenerate.py --check  # print drift only
+    PYTHONPATH=src python3 tests/golden/regenerate.py --check  # print drift and faults only
 
 Each case is a short run with fixed seeds whose telemetry, counters and
 final vectors are stored as ``tests/golden/<case>.json``:
@@ -17,9 +17,11 @@ final vectors are stored as ``tests/golden/<case>.json``:
 ``tests/test_golden.py`` recomputes every case and compares it with its
 file by ``compare``.  Before the script rewrites a file it prints the
 largest absolute and relative difference per column against the committed
-one, so that a change which regenerates the corpus can state its drift.
-With ``--check`` it prints the same table and writes nothing, so a change
-can state its drift without rewriting the corpus.
+one, so that a change which regenerates the corpus can state its drift,
+and then what ``compare`` finds beyond the tolerances.  With ``--check`` it
+prints the same and writes nothing; it exits 1 when any case is outside the
+tolerances (the corpus must be regenerated) and 0 when every drift is
+within them.
 """
 
 from __future__ import annotations
@@ -189,20 +191,33 @@ def compare(new: dict, old: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Print the corpus drift and rewrite the corpus.")
-    parser.add_argument("--check", action="store_true", help="print the drift, write nothing")
+    parser.add_argument("--check", action="store_true",
+                        help="print the drift and faults, write nothing, exit 1 on any fault")
     check = parser.parse_args(argv).check
+    outside = []
     for name, case in CASES.items():
         new = case()
         path = HERE / f"{name}.json"
         if path.exists():
+            old = load(name)
             print(f"{name}: largest difference from the committed corpus (absolute, relative)")
-            for col, (ab, rel) in column_drift(new, load(name)).items():
+            for col, (ab, rel) in column_drift(new, old).items():
                 print(f"  {col:>16} {ab:.2e} {rel:.2e}")
+            faults = compare(new, old)
+            for fault in faults:
+                print(f"  outside tolerance: {fault}")
+            if faults:
+                outside.append(name)
         else:
             print(f"{name}: new")
+            outside.append(name)
         if not check:
             path.write_text(json.dumps(new, indent=1) + "\n")
-    return 0
+    if outside:
+        print(f"outside tolerance: {', '.join(outside)}")
+    else:
+        print("every case within tolerance")
+    return 1 if check and outside else 0
 
 
 if __name__ == "__main__":

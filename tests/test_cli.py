@@ -235,3 +235,9 @@ class TestMain:
     def test_params_rejects_bad_lambda2(self, capsys):
         assert main(["params", "4", "16", "1.0", "1.5", "0.1"]) == 1
         assert "lambda2" in capsys.readouterr().err
+
+    def test_params_rejects_negative_lambda2(self, capsys):
+        # FastMix's momentum needs lambda2 in [0, 1); no gossip matrix has a
+        # negative one.
+        assert main(["params", "20", "1628", "3.5", "-0.5", "1e-3"]) == 1
+        assert "lambda2 must be in [0, 1), got -0.5" in capsys.readouterr().err

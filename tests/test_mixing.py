@@ -1,10 +1,12 @@
 """Accelerated gossip: mean preservation, contraction, linearity.
 
-``fastmix`` applies the cached mixing polynomial P_k(W) in one product.
+``fastmix`` applies the mixing polynomial P_k(W), built from the gossip
+matrix's stored eigendecomposition, in one product.
 ``reference.reference_fastmix`` runs the momentum recursion round by round;
 it is the definition that the fast path is checked against.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +16,11 @@ from hypothesis import strategies as st
 
 from dearest.mixing import MixingError, chebyshev_momentum, fastmix
 from dearest.topology import (
-    GossipMatrix,
     build_complete,
     build_random,
     build_ring,
     gossip_from_laplacian,
+    gossip_from_matrix,
     laplacian,
 )
 
@@ -96,9 +98,31 @@ class TestFastmixBasics:
     def test_lambda2_out_of_range(self):
         w = TOPOLOGIES[1]
         for bad in (1.0, -0.2):
-            fake = GossipMatrix(w=np.asarray(w.w), lambda2=bad, gap=1.0 - bad)
+            fake = dataclasses.replace(w, lambda2=bad)
+            assert fake.polynomials is not w.polynomials  # no polynomial of the real lambda2
             with pytest.raises(MixingError, match="lambda2"):
                 fastmix(np.zeros((4, 2)), fake, 1)
+
+    def test_rounding_negative_lambda2_mixes(self):
+        # The constructor accepts eigenvalues down to -1e-10 for rounding;
+        # here lambda2 = 2a - 1 = -2e-12, which it clamps to 0.
+        a = 0.5 - 1e-12
+        w = gossip_from_matrix([[a, 1.0 - a], [1.0 - a, a]])
+        assert w.lambda2 == 0.0 and w.gap == 1.0
+        np.testing.assert_allclose(fastmix(np.ones((2, 3)), w, 2), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_no_lapack_call_after_construction(self, monkeypatch):
+        ws = [make_w("ring", 8), make_w("random", 20, prob=0.15, seed=1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fastmix decomposed W")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rng = np.random.default_rng(3)
+        for w in ws:
+            for k in (1, 5, 40):
+                fastmix(rng.standard_normal((w.m, 2)), w, k)
 
     def test_momentum_clamps_tiny_lambda2(self):
         assert chebyshev_momentum(0.0) == 0.0

@@ -16,7 +16,6 @@ from dearest.topology import (
     gossip_from_matrix,
     laplacian,
     read_graph_file,
-    spectral_gap,
     write_graph_file,
 )
 
@@ -28,7 +27,7 @@ RANDOM_20_EDGE_MEAN = 31.27
 
 
 def w_spectrum(g):
-    """Eigenvalues of g's gossip matrix, ascending, from its cached LAPACK spectrum."""
+    """Eigenvalues of g's gossip matrix, ascending, from its LAPACK spectrum."""
     return gossip_from_laplacian(laplacian(g)).spectrum[0]
 
 
@@ -242,6 +241,26 @@ class TestJacobi:
         assert w.gap == pytest.approx(expected, abs=1e-12)
         assert w.lambda2 == pytest.approx(1.0 - expected, abs=1e-12)
 
+    @pytest.mark.parametrize("case", ["ring", "complete", "random", "weighted"])
+    def test_spectrum_rebuilds_w_with_ascending_eigenvalues(self, case):
+        if case == "weighted":
+            # Lazy Metropolis weights on a 7-agent random graph: edge (i, j)
+            # weighs 1 / (2 (1 + max(d_i, d_j))), which keeps W's spectrum
+            # in [0, 1].
+            g = build_random(7, 0.4, seed=3)
+            deg = g.degrees()
+            a = g.adjacency() / (2.0 * (1.0 + np.maximum.outer(deg, deg)))
+            w = gossip_from_matrix(np.diag(1.0 - a.sum(axis=1)) + a, graph=g)
+            assert len(set(a[a > 0.0].tolist())) > 1  # the weights differ
+        else:
+            g = {"ring": build_ring(9), "complete": build_complete(6),
+                 "random": build_random(12, 0.3, seed=5)}[case]
+            w = gossip_from_laplacian(laplacian(g))
+        lam, v = w.spectrum
+        assert np.all(np.diff(lam) >= 0.0)
+        np.testing.assert_allclose((v * lam) @ v.T, w.w, rtol=0.0, atol=1e-12)
+        assert lam[-2] == pytest.approx(w.lambda2, abs=1e-12)
+
     def test_spectrum_is_cached_read_only_and_reconstructs_w(self):
         w = gossip_from_laplacian(laplacian(build_random(15, 0.3, seed=4)))
         lam, v = w.spectrum
@@ -318,6 +337,14 @@ class TestGossipMatrix:
         with pytest.raises(GossipMatrixError, match="non-edge"):
             gossip_from_matrix(np.full((4, 4), 0.25), graph=g)
 
+    def test_messages_print_plain_floats(self):
+        with pytest.raises(GossipMatrixError, match=r"^row 0 sums to 1\.1, expected 1$"):
+            gossip_from_matrix(np.array([[0.6, 0.5], [0.5, 0.6]]))
+        # Unit row sums, but a top eigenvalue of 1.5: [1, 1] is an
+        # eigenvector of eigenvalue 1 and [1, -1] of 1.5.
+        with pytest.raises(GossipMatrixError, match=r"^largest eigenvalue 1\.5 is not 1$"):
+            gossip_from_matrix(np.array([[1.25, -0.25], [-0.25, 1.25]]))
+
     def test_non_edge_check_names_first_offending_pair(self):
         # Ring 0-1-2-3-4-0: (0, 2), (0, 3), (1, 3), (1, 4) and (2, 4) are
         # non-edges.  Two of them carry weight; the first in row-major order
@@ -328,10 +355,10 @@ class TestGossipMatrix:
             w[i, j] = w[j, i] = x
             w[i, i] -= x
             w[j, j] -= x
-        with pytest.raises(GossipMatrixError, match=r"0\.125\) on non-edge \(1, 3\)"):
+        with pytest.raises(GossipMatrixError, match=r"weight 0\.125 on non-edge \(1, 3\)$"):
             gossip_from_matrix(w, graph=g)
 
-    @pytest.mark.parametrize("build", [gossip_from_laplacian, gossip_from_matrix, spectral_gap])
+    @pytest.mark.parametrize("build", [gossip_from_laplacian, gossip_from_matrix])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_entries(self, build, bad):
         a = laplacian(build_ring(4)) if build is gossip_from_laplacian else np.full((4, 4), 0.25)
@@ -365,22 +392,7 @@ class TestGossipMatrix:
         w = gossip_from_laplacian(laplacian(build_ring(5)))
         with pytest.raises(ValueError):
             w.w[0, 0] = 2.0
-
-
-class TestSpectralGap:
-    def test_identity_raw_path(self):
-        lam2, gap = spectral_gap(np.eye(4))
-        assert lam2 == pytest.approx(1.0, abs=1e-12)
-        assert gap == pytest.approx(0.0, abs=1e-12)
-
-    def test_complete_m2(self):
-        lam2, gap = spectral_gap(gossip_from_laplacian(laplacian(build_complete(2))))
-        assert lam2 == 0.0 and gap == 1.0
-
-    def test_cycle_m20(self):
-        lam2, gap = spectral_gap(gossip_from_laplacian(laplacian(build_ring(20))))
-        assert gap == pytest.approx(0.0245, abs=5e-4)
-
-    def test_rejects_non_symmetric(self):
-        with pytest.raises(GossipMatrixError, match="symmetric"):
-            spectral_gap(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        mine = np.full((3, 3), 1.0 / 3.0)
+        w = gossip_from_matrix(mine)
+        mine[0, 0] = 2.0  # the caller's array stays writable and unshared
+        assert w.w[0, 0] == 1.0 / 3.0
