@@ -70,9 +70,12 @@ _VALID_LABELS = {1.0: 1.0, -1.0: -1.0, 0.0: -1.0}
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Sparse samples: a CSR matrix with one row per sample, plus +-1 labels."""
+    """Sparse samples: a CSR matrix with one row per sample, plus +-1 labels.
+
+    Compared and hashed by identity, as are ``Partition`` and ``GossipMatrix``.
+    """
 
     features: sp.csr_matrix
     labels: np.ndarray
@@ -86,9 +89,9 @@ class SampleSet:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint per-agent shards of sample indices, each of length n."""
+    """Disjoint per-agent shards of sample indices, each of length n; compared by identity."""
 
     shards: tuple[np.ndarray, ...]
     seed: int

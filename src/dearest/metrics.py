@@ -16,6 +16,13 @@ function value and stationarity norm at the mean iterate.
 
 All exact gradients used here are diagnostics and are never charged to the
 run's oracle counters.
+
+A row makes two independent passes over all the data: the local gradients
+at each agent's own iterate (for u_t and v_t) and the value and gradient at
+the mean iterate (for f_bar and the gradient norm).  They run at the same
+time, the second on one worker thread (``dearest._worker``); each runs the
+code it would run alone, so rows are bitwise those of a serial pass.  BLAS
+threading is left as the environment sets it.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._worker import concurrently
 from .objectives import FiniteSumObjective
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -80,15 +88,21 @@ def record(
 
     The single place the Lyapunov potential is written.  One ``grad_rows``
     pass gives both estimation errors, and one pass at the mean iterate gives
-    f_bar and the gradient norm.
+    f_bar and the gradient norm.  The second pass runs on the worker thread
+    while the calling thread makes the first and the consensus error.  An
+    exception in either reaches the caller (the caller's own when both
+    raise), and the worker has finished when this returns.
     """
     m = state.x.shape[0]
-    gap = state.g - obj.grad_rows(state.x)
-    mean_gap = gap.mean(axis=0)
-    u, v = float(mean_gap @ mean_gap), float(np.sum(gap * gap)) / m
-    c = consensus_error(state, cfg)
     x_bar = state.x.mean(axis=0)
-    f_bar, grad = obj.global_value_and_grad(x_bar)
+
+    def errors() -> tuple[float, float, float]:
+        gap = state.g - obj.grad_rows(state.x)
+        mean_gap = gap.mean(axis=0)
+        u, v = float(mean_gap @ mean_gap), float(np.sum(gap * gap)) / m
+        return u, v, consensus_error(state, cfg)
+
+    (f_bar, grad), (u, v, c) = concurrently(lambda: obj.global_value_and_grad(x_bar), errors)
     grad_norm = float(np.linalg.norm(grad))
     phi = f_bar + (cfg.eta / cfg.p) * (u + v) + c / (m * cfg.eta) if cfg.eta > 0.0 else float("nan")
     return TelemetryRecord(

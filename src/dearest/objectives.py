@@ -34,6 +34,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from ._worker import concurrently
+
 __all__ = [
     "FiniteSumObjective",
     "LogisticNCObjective",
@@ -341,7 +343,13 @@ class QuadraticObjective(FiniteSumObjective):
         return self._gram_bar @ x - self._rhs_bar
 
     def _smoothness_bound(self) -> float:
-        ell = np.linalg.norm(self.a, 2, axis=(-2, -1)) ** 2
+        # Per-component constant ||A_ij||_2^2: one SVD per component, half of
+        # the components on the worker thread and half on the caller's.
+        blocks = self.a.reshape(self.m * self.n, *self.a.shape[2:])
+        half = blocks.shape[0] // 2
+        norms = concurrently(lambda: np.linalg.norm(blocks[:half], 2, axis=(-2, -1)),
+                             lambda: np.linalg.norm(blocks[half:], 2, axis=(-2, -1)))
+        ell = (np.concatenate(norms) ** 2).reshape(self.m, self.n)
         return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
 
     @property

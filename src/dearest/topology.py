@@ -207,7 +207,7 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GossipMatrix:
     """Symmetric mixing matrix with its eigendecomposition.
 
@@ -219,6 +219,8 @@ class GossipMatrix:
     read-only.  ``polynomials`` holds the mixing polynomials P_K(W) by round
     count K that ``fastmix`` builds, so every run that shares one instance
     shares them; ``dataclasses.replace`` starts a copy with an empty one.
+    Instances compare and hash by identity, as arrays have no single truth
+    value.
     """
 
     w: np.ndarray

@@ -178,6 +178,15 @@ class TestPartition:
         assert part.dropped == 2
         assert set(used.tolist()) <= set(range(23))
 
+    def test_partitions_and_sample_sets_compare_by_identity(self, tmp_path):
+        path = write(tmp_path, synthetic_samples(10))
+        s1, s2 = parse_libsvm(path, d_override=6), parse_libsvm(path, d_override=6)
+        p1, p2 = partition(s1, 2, seed=0), partition(s1, 2, seed=0)
+        for a, b in ((s1, s2), (p1, p2)):
+            assert a != b and not (a == b)
+            assert a == a
+            assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+
     def test_too_few_samples(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, synthetic_samples(3)), d_override=6)
         with pytest.raises(DatasetError, match="cannot split"):

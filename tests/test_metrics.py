@@ -1,13 +1,27 @@
 """Diagnostics: estimation errors, consensus error, Lyapunov value, telemetry rows."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import dearest
 from dearest.metrics import CSV_HEADER, consensus_error, format_csv_row, record
 from dearest.mixing import fastmix
-from dearest.objectives import make_quadratic, make_synthetic_logistic
+from dearest.objectives import (
+    LogisticNCObjective,
+    QuadraticObjective,
+    make_quadratic,
+    make_synthetic_logistic,
+)
 from dearest.optimizer import AggregateState, RunConfig, init, run, step
 from dearest.topology import build_ring, gossip_from_laplacian, laplacian
 
@@ -196,3 +210,190 @@ class TestTelemetryRecord:
             # multi-round mixing keeps the consensus error tiny on this
             # instance (observed ~1e-5 peak); 1e-3 guards against blowup
             assert 0.0 <= rec.c_t <= 1e-3
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+class CallerFailure(Exception):
+    pass
+
+
+class FailingGlobalPass(QuadraticObjective):
+    def global_value_and_grad(self, x):
+        raise WorkerFailure("global pass")
+
+
+class SlowGlobalPassFailingRows(QuadraticObjective):
+    """The worker's half sleeps, then notes that it finished; the caller's half raises."""
+
+    finished = False
+
+    def global_value_and_grad(self, x):
+        time.sleep(0.2)
+        result = super().global_value_and_grad(x)
+        self.finished = True
+        return result
+
+    def grad_rows(self, x):
+        raise CallerFailure("grad_rows")
+
+
+class OverflowingGlobalPass(QuadraticObjective):
+    def global_value_and_grad(self, x):
+        value, grad = super().global_value_and_grad(x)
+        return value * float(np.exp(np.full(1, 1000.0))[0]), grad
+
+
+def quadratic_like(cls, seed=12):
+    base = make_quadratic(3, 4, 2, seed=seed)
+    return cls(base.a, base.c)
+
+
+def random_state(obj, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((obj.m, obj.d))
+    g = obj.grad_rows(x) + 0.1 * rng.standard_normal((obj.m, obj.d))
+    return raw_state(x, g, rng.standard_normal((obj.m, obj.d)))
+
+
+def csr_logistic(m, n, d, seed):
+    rng = np.random.default_rng(seed)
+    feats = [sp.random(n, d, density=0.3, format="csr", random_state=rng) for _ in range(m)]
+    labels = [np.where(rng.random(n) < 0.5, 1.0, -1.0) for _ in range(m)]
+    return LogisticNCObjective(feats, labels, 1e-3)
+
+
+class TestConcurrentPasses:
+    """``record`` runs the mean-iterate pass on a worker thread beside ``grad_rows``."""
+
+    @pytest.mark.parametrize("kind", ["dense logistic", "csr logistic", "quadratic"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_the_serial_composition(self, kind, seed):
+        obj = {
+            "dense logistic": lambda: make_synthetic_logistic(4, 9, 5, 1e-3, seed=seed),
+            "csr logistic": lambda: csr_logistic(4, 9, 5, seed),
+            "quadratic": lambda: make_quadratic(4, 6, 3, seed=seed),
+        }[kind]()
+        state = random_state(obj, seed + 100)
+        cfg = config(4)
+        gap = state.g - obj.grad_rows(state.x)
+        u = float(gap.mean(axis=0) @ gap.mean(axis=0))
+        v = float(np.sum(gap * gap)) / 4
+        c = consensus_error(state, cfg)
+        f_bar, grad = obj.global_value_and_grad(state.x.mean(axis=0))
+        phi = f_bar + (cfg.eta / cfg.p) * (u + v) + c / (4 * cfg.eta)
+        rec = record(state, obj, cfg, y_t=0, k_t=0)
+        got = (rec.f_bar, rec.grad_norm, rec.u_t, rec.v_t, rec.c_t, rec.phi_t)
+        want = (f_bar, float(np.linalg.norm(grad)), u, v, c, phi)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_worker_exception_reaches_the_caller(self):
+        obj = quadratic_like(FailingGlobalPass)
+        with pytest.raises(WorkerFailure, match="global pass"):
+            record(random_state(obj, 0), obj, config(3), y_t=0, k_t=0)
+
+    def test_caller_exception_waits_for_the_worker(self):
+        obj = quadratic_like(SlowGlobalPassFailingRows)
+        state = raw_state(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(CallerFailure):
+            record(state, obj, config(3), y_t=0, k_t=0)
+        assert obj.finished
+
+    def test_errstate_applies_in_the_worker(self):
+        obj = quadratic_like(OverflowingGlobalPass)
+        state = random_state(obj, 1)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            record(state, obj, config(3), y_t=0, k_t=0)
+        # Outside the caller's errstate the overflow would warn, and this
+        # suite's warning filter would turn it into an error.
+        with np.errstate(over="ignore"):
+            assert record(state, obj, config(3), y_t=0, k_t=0).f_bar == math.inf
+
+    def test_import_starts_no_thread_and_rows_reuse_one(self):
+        code = textwrap.dedent("""
+            import threading
+            before = threading.active_count()
+            import numpy as np
+            import dearest
+            from dearest.metrics import record
+            from dearest.objectives import make_quadratic
+            from dearest.optimizer import AggregateState, RunConfig
+            after_import = threading.active_count()
+            obj = make_quadratic(3, 4, 2, seed=0)
+            x = np.random.default_rng(0).standard_normal((3, 2))
+            state = AggregateState(
+                x=x, g=obj.grad_rows(x), s=x.copy(), t=0, ifo_count=0, raw_grad_evals=0,
+                comm_rounds=0, comm_rounds_all_calls=0, shared_rng=np.random.default_rng(0),
+                agent_rngs=tuple(np.random.default_rng(i) for i in range(3)))
+            cfg = RunConfig(eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50,
+                            epsilon=1e-3, shared_seed=0, agent_seeds=(0, 1, 2), output_seed=0)
+            for _ in range(1000):
+                record(state, obj, cfg, y_t=0, k_t=0)
+            print(before, after_import, threading.active_count())
+        """)
+        src = os.path.dirname(os.path.dirname(dearest.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=120).stdout
+        before, after_import, after_rows = map(int, out.split())
+        assert after_import == before
+        assert after_rows <= before + 1
+
+    def test_concurrent_callers_get_serial_rows(self):
+        # More calling threads than cores, switching often, all sharing the one worker.
+        objs = [make_quadratic(3, 4, 2, seed=20), make_synthetic_logistic(3, 6, 4, 1e-3, seed=21)]
+        states = [random_state(obj, 30 + k) for k, obj in enumerate(objs)]
+        cfg = config(3)
+        want = [record(state, obj, cfg, y_t=0, k_t=0) for obj, state in zip(objs, states)]
+        mismatches = []
+
+        def caller(k):
+            for _ in range(50):
+                if record(states[k % 2], objs[k % 2], cfg, y_t=0, k_t=0) != want[k % 2]:
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert sum(t.name.startswith("dearest-worker") for t in threading.enumerate()) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12+ warns that forking a multi-threaded process may deadlock;
+    # not forking one that has recorded a row is what this test checks.
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded, use of fork:DeprecationWarning")
+    def test_forked_child_records(self):
+        obj = make_quadratic(3, 4, 2, seed=13)
+        state = random_state(obj, 2)
+        cfg = config(3)
+        want = record(state, obj, cfg, y_t=0, k_t=0)
+        assert any(t.name.startswith("dearest-worker") for t in threading.enumerate())
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child exits without returning
+            code = 1
+            try:
+                code = 0 if record(state, obj, cfg, y_t=0, k_t=0) == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung on its first telemetry row")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -388,6 +388,13 @@ class TestGossipMatrix:
         value = float(str(err.value).split()[2])
         assert value == pytest.approx(smallest, abs=1e-12)
 
+    def test_compares_and_hashes_by_identity(self):
+        w1 = gossip_from_laplacian(laplacian(build_ring(5)))
+        w2 = gossip_from_laplacian(laplacian(build_ring(5)))
+        assert w1 != w2 and not (w1 == w2)
+        assert w1 == w1
+        assert {w1: 1, w2: 2}[w1] == 1 and hash(w1) == hash(w1)
+
     def test_matrix_is_read_only(self):
         w = gossip_from_laplacian(laplacian(build_ring(5)))
         with pytest.raises(ValueError):
