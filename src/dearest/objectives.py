@@ -15,10 +15,13 @@ Two concrete instances:
 * ``LogisticNCObjective`` -- binary logistic loss with the bounded nonconvex
   regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  The per-agent features,
   dense or sparse, are stored once as one block-diagonal (m*n, m*d) CSR
-  matrix: a full pass is one sparse product each way, a chunk of cheap
-  steps one scipy row gather, and a step three products over a view of it.
-  The sigmoid is numpy's tanh, 0.5 + 0.5 * tanh(t / 2), which cannot
-  overflow.
+  matrix: a full pass is one sparse product each way.  Cheap steps call the
+  kernels under scipy's row indexing and ``@`` directly, with no matrix
+  object per chunk or step: ``csr_row_index`` copies a chunk's rows into CSR
+  arrays, and a step makes two ``csr_matvec`` calls and one ``csc_matvec``.
+  These are private ``scipy.sparse._sparsetools`` names, imported at load so
+  that a scipy without them fails at import.  The sigmoid is numpy's tanh,
+  0.5 + 0.5 * tanh(t / 2), which cannot overflow.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests; gradients come from Gram sums.
 """
@@ -26,13 +29,12 @@ Two concrete instances:
 from __future__ import annotations
 
 import abc
-import copy
-import functools
 import math
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
 
 from ._worker import concurrently
 
@@ -72,8 +74,8 @@ class FiniteSumObjective(abc.ABC):
     def gather(self, idx: np.ndarray) -> object:
         """One batch of what a (C, m, b) index array samples: C steps, m agents.
 
-        By default the batch is the indices, and ``batch_diff`` reads step c's
-        components itself.
+        By default the indices themselves; ``LogisticNCObjective``'s is plain
+        arrays, the labels and the CSR arrays of the chunk's rows.
         """
         return idx
 
@@ -126,21 +128,11 @@ def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
     return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-@functools.lru_cache(maxsize=64)
-def _empty(fmt: type, shape: tuple[int, int]) -> sp.spmatrix:
-    return fmt(shape, dtype=float)
-
-
-def _sparse_view(fmt: type, shape: tuple[int, int], data: np.ndarray, indices: np.ndarray,
-                 indptr: np.ndarray) -> sp.spmatrix:
-    """A ``fmt`` (CSR or CSC) matrix of ``shape`` over the given arrays, without copying them.
-
-    scipy's constructors copy index arrays that view a larger one and check the
-    format, which costs more than a cheap step's product; a shallow copy does neither.
-    """
-    mat = copy.copy(_empty(fmt, shape))
-    mat.data, mat.indices, mat.indptr = data, indices, indptr
-    return mat
+def _csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The CSR rows given by ``indptr`` (which may index into longer arrays) times v."""
+    out = np.zeros(indptr.size - 1)
+    csr_matvec(out.size, v.size, indptr, indices, data, v, out)
+    return out
 
 
 class LogisticNCObjective(FiniteSumObjective):
@@ -156,7 +148,8 @@ class LogisticNCObjective(FiniteSumObjective):
     at i*d, so ``x.ravel()`` of stacked iterates meets each agent's rows with
     its own row of x.  ``labels`` are views of one label vector; ``features``
     builds per-agent (n, d) CSR copies on each access.  Evaluation is
-    overflow-safe.
+    overflow-safe.  ``batch_diff`` reuses the regularizer gradient of its last
+    x_new when that array comes back as x_old: do not change it in place.
     """
 
     def __init__(
@@ -198,6 +191,7 @@ class LogisticNCObjective(FiniteSumObjective):
         self._starts = np.arange(self.m) * self.n
         self.labels = [self._y[s:s + self.n] for s in self._starts]
         self._smoothness = self._smoothness_bound()
+        self._last_reg: tuple = (None, None)  # batch_diff's last x_new, its regularizer grad
 
     @property
     def features(self) -> list[sp.csr_matrix]:
@@ -225,22 +219,28 @@ class LogisticNCObjective(FiniteSumObjective):
         return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
     def gather(self, idx: np.ndarray) -> tuple:
-        # Labels, (C, m*b), and the chunk's rows of the stacked matrix: one CSR row gather.
-        rows = (idx + self._starts[:, None]).ravel()
-        return self._y[rows].reshape(idx.shape[0], -1), self._x[rows]
+        # Labels, (C, m*b), and the CSR arrays of the chunk's rows of the stacked matrix.
+        x, rows = self._x, (idx + self._starts[:, None]).ravel().astype(self._x.indices.dtype)
+        indptr = np.zeros(rows.size + 1, dtype=x.indptr.dtype)
+        np.cumsum(x.indptr[rows + 1] - x.indptr[rows], out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=x.indices.dtype), np.empty(indptr[-1])
+        csr_row_index(rows.size, rows, x.indptr, x.indices, x.data, indices, data)
+        return self._y[rows].reshape(idx.shape[0], -1), indptr, indices, data
 
     def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        m, d = x_new.shape
-        lab, chunk = batch[0][c], batch[1]
-        ptr = chunk.indptr[c * lab.size:(c + 1) * lab.size + 1]
-        view = (chunk.data[ptr[0]:ptr[-1]], chunk.indices[ptr[0]:ptr[-1]], ptr - ptr[0])
-        # Step c's rows, and their transpose as a CSC matrix over the same arrays.
-        sc = _sparse_view(sp.csr_matrix, (lab.size, m * d), *view)
-        z_new, z_old = lab * (sc @ x_new.ravel()), lab * (sc @ x_old.ravel())
-        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / (lab.size // m)
-        lin = _sparse_view(sp.csc_matrix, (m * d, lab.size), *view) @ coef
-        reg = _regularizer_grad(x_new, self.lambda_reg) - _regularizer_grad(x_old, self.lambda_reg)
-        return lin.reshape(m, d) + reg
+        # Step c's slice of indptr over the chunk's arrays: CSR margins, CSC transpose.
+        lab, indptr, indices, data = batch[0][c], *batch[1:]
+        ptr = indptr[c * lab.size:(c + 1) * lab.size + 1]
+        z_new = lab * _csr_matvec(ptr, indices, data, x_new.ravel())
+        z_old = lab * _csr_matvec(ptr, indices, data, x_old.ravel())
+        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / (lab.size // len(x_new))
+        lin = np.zeros(x_new.size)
+        csc_matvec(lin.size, lab.size, ptr, indices, data, coef, lin)
+        last_x, last_reg = self._last_reg
+        reg_new = _regularizer_grad(x_new, self.lambda_reg)
+        reg_old = last_reg if x_old is last_x else _regularizer_grad(x_old, self.lambda_reg)
+        self._last_reg = (x_new, reg_new)
+        return lin.reshape(x_new.shape) + (reg_new - reg_old)
 
     def batch_nbytes(self, b: int) -> int:
         # A label and an indptr entry per row, 12 bytes (value, column) per nonzero.
@@ -268,8 +268,7 @@ class LogisticNCObjective(FiniteSumObjective):
         # whole data.
         x, n, starts, ones = self._x, self.n, self._starts, np.ones(self._x.shape[1])
         row_sq = np.concatenate([
-            _sparse_view(sp.csr_matrix, (n, ones.size), x.data[lo:hi] ** 2, x.indices[lo:hi],
-                         x.indptr[s:s + n + 1] - lo) @ ones
+            _csr_matvec(x.indptr[s:s + n + 1] - lo, x.indices[lo:hi], x.data[lo:hi] ** 2, ones)
             for s, lo, hi in zip(starts, x.indptr[starts], x.indptr[starts + n])
         ])
         ell = (row_sq / 4.0 + 2.0 * self.lambda_reg).reshape(self.m, self.n)

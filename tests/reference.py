@@ -12,6 +12,10 @@ directly from the definitions as possible, so that the fast paths in
 * ``BincountLogistic`` -- ``LogisticNCObjective`` with the numpy cheap-step
   kernel (index arithmetic and ``np.bincount``) that scipy's CSR products
   replaced;
+* ``ScipyOperatorLogistic`` -- ``LogisticNCObjective`` with its cheap step
+  written with scipy's sparse-matrix operators (row indexing and ``@``)
+  where the library calls their kernels directly, and ``smoothness_bound``,
+  the logistic smoothness bound from the same operators;
 * ``reference_fastmix`` -- the accelerated-gossip momentum recursion, round
   by round;
 * ``reference_run`` -- a whole DEAREST run: per agent and round by round,
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from dearest.mixing import chebyshev_momentum
 from dearest.objectives import LogisticNCObjective, QuadraticObjective, _sigmoid
@@ -123,6 +128,52 @@ class BincountLogistic(LogisticNCObjective):
     def batch_nbytes(self, b):
         # A label per row and 24 bytes per nonzero.
         return math.ceil(self.m * b * (8 + 24 * self._x.nnz / self._x.shape[0]))
+
+
+class ScipyOperatorLogistic(LogisticNCObjective):
+    """``LogisticNCObjective`` whose cheap steps use scipy's matrix operators.
+
+    ``gather`` indexes the stacked CSR matrix by the chunk's rows;
+    ``batch_diff`` wraps step c's rows in a CSR matrix and its transpose in a
+    CSC matrix over the same arrays and multiplies with ``@``, and computes
+    both regularizer gradients every call.  Row indexing and ``@`` run the
+    same scipy kernels on the same arrays as the library, so the two are
+    bitwise equal.
+    """
+
+    def gather(self, idx):
+        rows = (idx + self._starts[:, None]).ravel()
+        return self._y[rows].reshape(idx.shape[0], -1), self._x[rows]
+
+    def batch_diff(self, batch, c, x_new, x_old):
+        m, d = x_new.shape
+        lab, chunk = batch[0][c], batch[1]
+        ptr = chunk.indptr[c * lab.size:(c + 1) * lab.size + 1]
+        arrays = (chunk.data[ptr[0]:ptr[-1]], chunk.indices[ptr[0]:ptr[-1]], ptr - ptr[0])
+        rows = sp.csr_matrix(arrays, shape=(lab.size, m * d))
+        z_new, z_old = lab * (rows @ x_new.ravel()), lab * (rows @ x_old.ravel())
+        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / (lab.size // m)
+        lin = sp.csc_matrix(arrays, shape=(m * d, lab.size)) @ coef
+        return lin.reshape(m, d) + (_regularizer_grad(x_new, self.lambda_reg)
+                                    - _regularizer_grad(x_old, self.lambda_reg))
+
+
+def smoothness_bound(obj):
+    """A ``LogisticNCObjective``'s smoothness bound, row norms from scipy's ``@``.
+
+    Per agent, the squared entries of its rows of the stacked matrix times a
+    vector of ones give the rows' squared norms.
+    """
+    x, n = obj._x, obj.n
+    ones = np.ones(x.shape[1])
+    row_sq = []
+    for s in range(0, obj.m * n, n):
+        lo, hi = x.indptr[s], x.indptr[s + n]
+        rows = sp.csr_matrix((x.data[lo:hi] ** 2, x.indices[lo:hi], x.indptr[s:s + n + 1] - lo),
+                             shape=(n, ones.size))
+        row_sq.append(rows @ ones)
+    ell = (np.concatenate(row_sq) / 4.0 + 2.0 * obj.lambda_reg).reshape(obj.m, n)
+    return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
 
 
 def reference_fastmix(u0, w, k):

@@ -22,7 +22,7 @@ from dearest.objectives import (
     make_synthetic_logistic,
 )
 
-from reference import batch_grad_mean, global_grad, local_grad, local_value
+from reference import batch_grad_mean, global_grad, local_grad, local_value, smoothness_bound
 
 
 def central_diff_grad(func, x, h=1e-6):
@@ -215,6 +215,22 @@ class TestSparseDenseParity:
 
 
 class TestSmoothness:
+    def test_bitwise_the_scipy_operator_bound(self):
+        # The row norms come from the CSR product kernel called directly; the
+        # reference multiplies scipy matrices over the same arrays with ``@``.
+        rng = np.random.default_rng(11)
+        feats, labels = a9a_shaped_shards()
+        weighted = [sp.csr_matrix((rng.standard_normal(f.nnz), f.indices, f.indptr), shape=f.shape)
+                    for f in feats]
+        sparse_rows = [sp.random(7, 5, density=0.3, format="csr", random_state=rng)
+                       for _ in range(3)]
+        dense = make_synthetic_logistic(4, 9, 5, 1e-3, seed=12)
+        for obj in (LogisticNCObjective(feats, labels, 1e-4),
+                    LogisticNCObjective(weighted, labels, 1e-4),
+                    LogisticNCObjective(sparse_rows, [np.ones(7)] * 3, 1e-3),
+                    dense):
+            assert obj.smoothness.hex() == smoothness_bound(obj).hex()
+
     def test_degenerate_objective_has_zero_bound(self):
         obj = LogisticNCObjective([np.zeros((2, 3))], [np.ones(2)], lambda_reg=0.0)
         assert obj.smoothness == 0.0

@@ -32,7 +32,7 @@ from dearest.topology import (
     laplacian,
 )
 
-from reference import BincountLogistic, batch_grad_mean, reference_run
+from reference import BincountLogistic, ScipyOperatorLogistic, batch_grad_mean, reference_run
 
 
 def make_w(graph):
@@ -344,6 +344,51 @@ class TestStep:
                 state = step(state, obj, w, cfg)
 
 
+class TestDivergenceChecks:
+    """``_advance`` runs one test on a healthy step and the exact checks only
+    when it fails: the same error, message and iteration as the exact checks."""
+
+    NON_FINITE = "non-finite iterate or tracker at iteration 7"
+    TOO_LARGE = "iterate norm exceeded 1e+12 at iteration 7"
+
+    @staticmethod
+    def advance(monkeypatch, x_next, s_next):
+        # A refresh step whose two gossip calls return x_next and then s_next.
+        obj = make_quadratic(2, 3, 2, seed=60)
+        w = make_w(build_complete(2))
+        cfg = manual_config(2, p=1.0, t_max=10)
+        state = dataclasses.replace(init(obj, w, cfg, np.zeros(2)), t=7)
+        mixed = iter([np.array(x_next, dtype=float), np.array(s_next, dtype=float)])
+        monkeypatch.setattr(optimizer, "fastmix", lambda u, w, k: next(mixed))
+        return optimizer._advance(state, obj, w, cfg, None, 0)
+
+    @pytest.mark.parametrize("x_next, s_next, message", [
+        ([[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], NON_FINITE),
+        ([[0.0, -np.inf], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], NON_FINITE),
+        ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.inf, 0.0]], NON_FINITE),
+        ([[0.0, 0.0], [0.0, 0.0]], [[0.0, np.nan], [0.0, 0.0]], NON_FINITE),
+        ([[2e12, 0.0], [0.0, np.nan]], [[0.0, 0.0], [0.0, 0.0]], NON_FINITE),
+        ([[0.0, 0.0], [-2e12, 0.0]], [[0.0, 0.0], [0.0, 0.0]], TOO_LARGE),
+    ], ids=["nan-x", "inf-x", "inf-s", "nan-s", "nan-before-norm", "large-x"])
+    def test_raises_the_exact_checks_error(self, monkeypatch, x_next, s_next, message):
+        with pytest.raises(DivergenceError) as err:
+            self.advance(monkeypatch, x_next, s_next)
+        assert str(err.value) == message
+
+    def test_limit_itself_passes(self, monkeypatch):
+        state = self.advance(monkeypatch, [[1e12, 0.0], [0.0, -1e12]], [[0.0, 0.0], [0.0, 0.0]])
+        assert state.t == 8
+
+    def test_overflowing_tracker_sum_passes(self, monkeypatch):
+        # Every entry is finite, so nothing may raise, not even the overflow
+        # of a sum (the suite turns numpy's warnings into errors).
+        s_next = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore"):
+            assert np.isinf(s_next.sum())
+        state = self.advance(monkeypatch, [[0.0, 0.0], [0.0, 0.0]], s_next)
+        np.testing.assert_array_equal(state.s, s_next)
+
+
 class TestRun:
     def test_empty_budget_rejected(self):
         obj = make_quadratic(3, 5, 2, seed=11)
@@ -569,8 +614,8 @@ class TestChunkedRun:
     def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
         # A structural guard: the chunked loop calls each agent's integers()
         # and the objective's gather once per chunk, and each cheap step's
-        # matrix (rows and transpose) views its chunk's arrays: no step
-        # copies rows.
+        # products (two CSR, one CSC) read its chunk's indices and data in
+        # place: no step copies rows.
         obj = make_objective(kind, 4, 9, 3, seed=54)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=55)
@@ -593,30 +638,37 @@ class TestChunkedRun:
             rngs = tuple(CountingRng(rng, i) for i, rng in enumerate(state.agent_rngs))
             return dataclasses.replace(state, agent_rngs=rngs)
 
-        chunks, views = [], []
-        real_gather, real_view = obj.gather, objectives._sparse_view
+        chunks, products = [], {"csr": [], "csc": []}
+        real_gather = obj.gather
 
         def recording_gather(idx):
             chunks.append(real_gather(idx))
             return chunks[-1]
 
-        def recording_view(fmt, shape, data, indices, indptr):
-            views.append((data, indices))
-            return real_view(fmt, shape, data, indices, indptr)
+        def recording(fmt, kernel):
+            def call(n_row, n_col, indptr, indices, data, v, out):
+                products[fmt].append((indices, data))
+                return kernel(n_row, n_col, indptr, indices, data, v, out)
+            return call
 
         monkeypatch.setattr(optimizer, "init", counting_init)
         monkeypatch.setattr(obj, "gather", recording_gather)
-        monkeypatch.setattr(objectives, "_sparse_view", recording_view)
+        monkeypatch.setattr(objectives, "csr_matvec", recording("csr", objectives.csr_matvec))
+        monkeypatch.setattr(objectives, "csc_matvec", recording("csc", objectives.csc_matvec))
         run(obj, w, cfg, np.zeros(3))
         assert calls == [math.ceil(cheap_steps(cfg) / chunk)] * obj.m
         assert cheap_steps(cfg) > chunk
         assert len(chunks) == math.ceil(cheap_steps(cfg) / chunk)
         if kind != "quadratic":
-            assert len(views) == 2 * cheap_steps(cfg)
-            for k, (data, indices) in enumerate(views):
-                rows = chunks[k // (2 * chunk)][1]
-                assert np.shares_memory(data, rows.data)
-                assert np.shares_memory(indices, rows.indices)
+            assert len(products["csr"]) == 2 * cheap_steps(cfg)
+            assert len(products["csc"]) == cheap_steps(cfg)
+            for per_step, fmt in ((2, "csr"), (1, "csc")):
+                for k, (indices, data) in enumerate(products[fmt]):
+                    _, _, chunk_indices, chunk_data = chunks[k // (per_step * chunk)]
+                    assert np.shares_memory(indices, chunk_indices)
+                    assert np.shares_memory(data, chunk_data)
+        else:
+            assert products == {"csr": [], "csc": []}
 
 
 class TestAgainstReference:
@@ -697,3 +749,92 @@ class TestNumpyKernelReference:
         for name in COUNTERS:
             assert getattr(res.final_state, name) == getattr(want.final_state, name)
         assert stream_states(res.final_state) == stream_states(want.final_state)
+
+
+def widen(mat):
+    """``mat`` with int64 ``indices`` and ``indptr``, in place."""
+    mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+    return mat
+
+
+class TestScipyOperatorReference:
+    """The kernel-call cheap step against ``ScipyOperatorLogistic``'s scipy
+    operators: row indexing of the stacked matrix and ``@`` on each step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 6), d=st.integers(1, 5), b=st.integers(1, 8),
+           chunk=st.sampled_from([1, 2, 3]), density=st.floats(0.0, 1.0),
+           wide=st.sampled_from(["", "shards", "stacked"]), seed=st.integers(0, 2**32 - 1))
+    @example(m=2, n=4, d=3, b=3, chunk=3, density=0.0, wide="", seed=1)
+    @example(m=3, n=2, d=2, b=7, chunk=2, density=0.4, wide="", seed=2)
+    @example(m=2, n=5, d=4, b=3, chunk=3, density=0.5, wide="shards", seed=3)
+    @example(m=3, n=5, d=4, b=6, chunk=2, density=0.3, wide="stacked", seed=4)
+    def test_bitwise_the_scipy_operators(self, m, n, d, b, chunk, density, wide, seed):
+        # density 0 and low densities give empty rows, b > n repeated rows,
+        # and c > 0 reads past a chunk's first step.  "shards" builds from
+        # int64-indexed shards; "stacked" gives the stacked matrix itself
+        # int64 indices and indptr.
+        rng = np.random.default_rng(seed)
+        feats, labels = sparse_shards(m, n, d, density, rng)
+        if wide == "shards":
+            feats = [widen(f) for f in feats]
+        obj = LogisticNCObjective(feats, labels, 1e-3)
+        ref = ScipyOperatorLogistic(feats, labels, 1e-3)
+        if wide == "stacked":
+            widen(obj._x), widen(ref._x)
+        idx = rng.integers(0, n, size=(chunk, m, b))
+        batch, ref_batch = obj.gather(idx), ref.gather(idx)
+        np.testing.assert_array_equal(batch[0], ref_batch[0])
+        for got, want in zip(batch[1:], (ref_batch[1].indptr, ref_batch[1].indices,
+                                         ref_batch[1].data)):
+            np.testing.assert_array_equal(got, want)
+        # scipy's constructor shrinks the index dtype of the reference's chunk;
+        # the library's keeps the stacked matrix's, so its kernels copy nothing.
+        assert batch[1].dtype == batch[2].dtype == obj._x.indices.dtype
+        assert (obj._x.indices.dtype == np.int64) == (wide == "stacked")
+        # A chain of iterates, each step's x_old the previous step's x_new.
+        xs = list(rng.standard_normal((chunk + 1, m, d)))
+        for c in range(chunk):
+            np.testing.assert_array_equal(obj.batch_diff(batch, c, xs[c + 1], xs[c]),
+                                          ref.batch_diff(ref_batch, c, xs[c + 1], xs[c]))
+        if m == 1:
+            return
+        w = make_w(build_complete(m))
+        cfg = manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=b, p=0.3, t_max=30, seed=seed)
+        results = []
+        for o in (obj, ref):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optimizer, "_CHUNK_BYTES", chunk * o.batch_nbytes(b))
+                results.append(run(o, w, cfg, np.linspace(-1.0, 1.0, d)))
+        res, want = results
+        for name in ("x", "g", "s"):
+            np.testing.assert_array_equal(getattr(res.final_state, name),
+                                          getattr(want.final_state, name))
+        np.testing.assert_array_equal(res.x_out, want.x_out)
+        assert res.telemetry == want.telemetry
+
+    def test_regularizer_gradient_reused_only_for_the_same_array(self, monkeypatch):
+        obj = make_objective("csr", 3, 6, 4, seed=56)
+        ref = ScipyOperatorLogistic(obj.features, obj.labels, obj.lambda_reg)
+        rng = np.random.default_rng(57)
+        idx = rng.integers(0, obj.n, size=(4, obj.m, 2))
+        batch, ref_batch = obj.gather(idx), ref.gather(idx)
+        x0, x1, x2 = rng.standard_normal((3, obj.m, obj.d))
+        calls = []
+        real = objectives._regularizer_grad
+
+        def counting(x, lam):
+            calls.append(x)
+            return real(x, lam)
+
+        monkeypatch.setattr(objectives, "_regularizer_grad", counting)
+        # First call, then x_old is the last x_new, then an equal copy of it,
+        # then the same array after another array came between.
+        for c, (x_new, x_old, evaluated) in enumerate([(x1, x0, [x1, x0]), (x2, x1, [x2]),
+                                                       (x1, x2.copy(), [x1, None]),
+                                                       (x2, x2, [x2, x2])]):
+            del calls[:]
+            np.testing.assert_array_equal(obj.batch_diff(batch, c, x_new, x_old),
+                                          ref.batch_diff(ref_batch, c, x_new, x_old))
+            assert len(calls) == len(evaluated)
+            assert all(e is None or got is e for got, e in zip(calls, evaluated))
