@@ -119,6 +119,11 @@ def parse_libsvm(path: str | Path, d_override: int | None = None) -> SampleSet:
         raw = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset file {path}: {exc}") from exc
+    return _parse(path, raw, d_override)
+
+
+def _parse(path: Path, raw: bytes, d_override: int | None) -> SampleSet:
+    """The file's bytes through the fast path, or through ``_parse_lines`` if it fails."""
     parsed = _parse_blocks(raw, d_override)
     if parsed is None:
         return _parse_lines(path, raw, d_override)

@@ -62,9 +62,14 @@ def _mixing_polynomial(w: GossipMatrix, k: int, eta_u: float) -> np.ndarray:
     poly = w.polynomials.get(k)
     if poly is None:
         lam, v = w.spectrum
-        prev = cur = np.ones_like(lam)
+        # (1 + eta_u) * lam * cur - eta_u * prev, in the same order, in place.
+        scaled = (1.0 + eta_u) * lam
+        prev, cur, tmp = np.ones_like(lam), np.ones_like(lam), np.empty_like(lam)
         for _ in range(k):
-            prev, cur = cur, (1.0 + eta_u) * lam * cur - eta_u * prev
+            np.multiply(scaled, cur, out=tmp)
+            np.multiply(eta_u, prev, out=prev)
+            np.subtract(tmp, prev, out=prev)
+            prev, cur = cur, prev
         # p_k(1) = 1 for every k, and W's top eigenvalue is 1 (checked at
         # construction).  LAPACK returns it only to within rounding, which
         # the recursion would amplify by p_k'(1) ~ k (1 + eta_u) / (1 - eta_u)

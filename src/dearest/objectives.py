@@ -18,7 +18,8 @@ Two concrete instances:
   matrix: a full pass is one sparse product each way.  Cheap steps call the
   kernels under scipy's row indexing and ``@`` directly, with no matrix
   object per chunk or step: ``csr_row_index`` copies a chunk's rows into CSR
-  arrays, and a step makes two ``csr_matvec`` calls and one ``csc_matvec``.
+  arrays, and a step makes two ``csr_matvec`` calls, into one scratch buffer
+  that the objective reuses, and one ``csc_matvec``.
   These are private ``scipy.sparse._sparsetools`` names, imported at load so
   that a scipy without them fails at import.  The sigmoid is numpy's tanh,
   0.5 + 0.5 * tanh(t / 2), which cannot overflow.
@@ -118,21 +119,19 @@ def _regularizer_grad(x: np.ndarray, lam: float) -> np.ndarray:
     return lam * 2.0 * x / (denom * denom)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # The logistic 1 / (1 + exp(-t)) through tanh: no exp to overflow, no warning.
-    return 0.5 + 0.5 * np.tanh(0.5 * t)
+def _sigmoid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # The logistic 1 / (1 + exp(-t)) through tanh: no exp to overflow, no
+    # warning.  0.5 + 0.5 * tanh(0.5 * t), one operation at a time into
+    # ``out``, which may be t itself.
+    out = np.multiply(0.5, t, out=np.empty(np.shape(t)) if out is None else out)
+    np.tanh(out, out=out)
+    np.multiply(0.5, out, out=out)
+    return np.add(0.5, out, out=out)
 
 
 def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
     # log(1 + exp(-z)) without overflow: max(-z, 0) + log1p(exp(-|z|))
     return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-
-
-def _csr_matvec(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The CSR rows given by ``indptr`` (which may index into longer arrays) times v."""
-    out = np.zeros(indptr.size - 1)
-    csr_matvec(out.size, v.size, indptr, indices, data, v, out)
-    return out
 
 
 class LogisticNCObjective(FiniteSumObjective):
@@ -188,10 +187,12 @@ class LogisticNCObjective(FiniteSumObjective):
             x.indices[x.indptr[i * self.n]:x.indptr[(i + 1) * self.n]] += i * self.d
         x.resize((self.m * self.n, self.m * self.d))
         self._x, self._xt = x, x.T
+        self._row_nnz = np.diff(x.indptr)
         self._starts = np.arange(self.m) * self.n
         self.labels = [self._y[s:s + self.n] for s in self._starts]
         self._smoothness = self._smoothness_bound()
         self._last_reg: tuple = (None, None)  # batch_diff's last x_new, its regularizer grad
+        self._margins = np.empty((2, 0))  # batch_diff's scratch: new and old margins
 
     @property
     def features(self) -> list[sp.csr_matrix]:
@@ -222,25 +223,36 @@ class LogisticNCObjective(FiniteSumObjective):
         # Labels, (C, m*b), and the CSR arrays of the chunk's rows of the stacked matrix.
         x, rows = self._x, (idx + self._starts[:, None]).ravel().astype(self._x.indices.dtype)
         indptr = np.zeros(rows.size + 1, dtype=x.indptr.dtype)
-        np.cumsum(x.indptr[rows + 1] - x.indptr[rows], out=indptr[1:])
+        np.cumsum(self._row_nnz[rows], out=indptr[1:])
         indices, data = np.empty(indptr[-1], dtype=x.indices.dtype), np.empty(indptr[-1])
         csr_row_index(rows.size, rows, x.indptr, x.indices, x.data, indices, data)
         return self._y[rows].reshape(idx.shape[0], -1), indptr, indices, data
 
     def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        # Step c's slice of indptr over the chunk's arrays: CSR margins, CSC transpose.
+        # Step c's slice of indptr over the chunk's arrays: CSR margins into
+        # the reused scratch, the coefficients in place, CSC transpose.
         lab, indptr, indices, data = batch[0][c], *batch[1:]
-        ptr = indptr[c * lab.size:(c + 1) * lab.size + 1]
-        z_new = lab * _csr_matvec(ptr, indices, data, x_new.ravel())
-        z_old = lab * _csr_matvec(ptr, indices, data, x_old.ravel())
-        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / (lab.size // len(x_new))
+        rows = lab.size
+        ptr = indptr[c * rows:(c + 1) * rows + 1]
+        if self._margins.shape[1] != rows:
+            self._margins = np.empty((2, rows))
+        z = self._margins
+        z.fill(0.0)
+        csr_matvec(rows, x_new.size, ptr, indices, data, x_new.ravel(), z[0])
+        csr_matvec(rows, x_old.size, ptr, indices, data, x_old.ravel(), z[1])
+        np.multiply(lab, z, out=z)
+        _sigmoid(np.negative(z, out=z), out=z)
+        coef = np.subtract(z[1], z[0], out=z[1])
+        np.multiply(lab, coef, out=coef)
+        np.divide(coef, rows // len(x_new), out=coef)
         lin = np.zeros(x_new.size)
-        csc_matvec(lin.size, lab.size, ptr, indices, data, coef, lin)
+        csc_matvec(lin.size, rows, ptr, indices, data, coef, lin)
         last_x, last_reg = self._last_reg
         reg_new = _regularizer_grad(x_new, self.lambda_reg)
         reg_old = last_reg if x_old is last_x else _regularizer_grad(x_old, self.lambda_reg)
         self._last_reg = (x_new, reg_new)
-        return lin.reshape(x_new.shape) + (reg_new - reg_old)
+        lin += (reg_new - reg_old).ravel()
+        return lin.reshape(x_new.shape)
 
     def batch_nbytes(self, b: int) -> int:
         # A label and an indptr entry per row, 12 bytes (value, column) per nonzero.
@@ -267,10 +279,10 @@ class LogisticNCObjective(FiniteSumObjective):
         # agent's rows at a time, so that no temporary is the size of the
         # whole data.
         x, n, starts, ones = self._x, self.n, self._starts, np.ones(self._x.shape[1])
-        row_sq = np.concatenate([
-            _csr_matvec(x.indptr[s:s + n + 1] - lo, x.indices[lo:hi], x.data[lo:hi] ** 2, ones)
-            for s, lo, hi in zip(starts, x.indptr[starts], x.indptr[starts + n])
-        ])
+        row_sq = np.zeros(x.shape[0])
+        for s, lo, hi in zip(starts, x.indptr[starts], x.indptr[starts + n]):
+            csr_matvec(n, ones.size, x.indptr[s:s + n + 1] - lo, x.indices[lo:hi],
+                       x.data[lo:hi] ** 2, ones, row_sq[s:s + n])
         ell = (row_sq / 4.0 + 2.0 * self.lambda_reg).reshape(self.m, self.n)
         return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
 

@@ -23,11 +23,15 @@ call separately (2 K_t per step).
 
 Randomness: ``step`` draws a refresh flag from the shared stream and, on a
 cheap step, b indices from each agent's stream.  ``run`` draws the same
-numbers ahead: all t_max flags in one call, then per chunk of C cheap steps
-(C from the byte budget ``_CHUNK_BYTES``) one call per agent, in agent
-order, and one ``gather`` of the chunk's rows, which each step reads in place.
-The last chunk holds the steps left, so every stream ends where a loop of
-``step`` leaves it: the run is bitwise that loop.
+numbers ahead: all t_max flags in one call, then per draw block one
+``integers`` call per agent, in agent order, for the indices of all the
+block's cheap steps.  A block is a whole number of chunks, and each chunk of
+C cheap steps is one ``gather`` of its rows, which each step reads in place.
+Both sizes come from the byte budget ``_CHUNK_BYTES``: C from the gathered
+rows, the block from its (steps, m, b) indices.  The last block and chunk
+hold the steps left.  A generator's draws do not depend on how they are
+split into calls, so every stream ends where a loop of ``step`` leaves it:
+the run is bitwise that loop.
 
 Output rule: the returned point is one iterate row drawn uniformly over all
 (t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +68,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# About how many bytes one gathered chunk of cheap steps may hold.
+# About how many bytes one gathered chunk of cheap steps may hold, and at
+# most how many a draw block's indices hold (at least one chunk's).
 _CHUNK_BYTES = 2**21
 
 
@@ -286,10 +291,9 @@ def init(
     )
 
 
-def _draw_batch(rngs: tuple[np.random.Generator, ...], obj: FiniteSumObjective, b: int,
-                steps: int) -> object:
-    """The next ``steps`` cheap steps' indices, one draw per agent stream, gathered."""
-    return obj.gather(np.stack([rng.integers(0, obj.n, size=(steps, b)) for rng in rngs], 1))
+def _draw(rngs: tuple[np.random.Generator, ...], n: int, b: int, steps: int) -> np.ndarray:
+    """The next ``steps`` cheap steps' (steps, m, b) indices, one draw per agent stream."""
+    return np.stack([rng.integers(0, n, size=(steps, b)) for rng in rngs], 1)
 
 
 def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray, batch: object,
@@ -302,15 +306,19 @@ def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray
 
 def _cheap_batches(rngs: tuple[np.random.Generator, ...], obj: FiniteSumObjective, b: int,
                    count: int) -> Iterator[tuple[object, int]]:
-    """(batch, c) for each of ``count`` cheap steps, drawn and gathered by chunks."""
+    """(batch, c) for each of ``count`` cheap steps, drawn by blocks and gathered by chunks."""
     chunk = max(1, _CHUNK_BYTES // obj.batch_nbytes(b))
-    for start in range(0, count, chunk):
-        steps = min(chunk, count - start)
-        batch = _draw_batch(rngs, obj, b, steps)
-        yield from ((batch, c) for c in range(steps))
-        # Free the spent chunk before the next is gathered; callers hold no
-        # reference to it either.
-        del batch
+    index_bytes = chunk * obj.m * b * np.dtype(np.int64).itemsize
+    block = chunk * max(1, _CHUNK_BYTES // index_bytes)
+    for start in range(0, count, block):
+        idx = _draw(rngs, obj.n, b, min(block, count - start))
+        for lo in range(0, len(idx), chunk):
+            batch = obj.gather(idx[lo:lo + chunk])
+            yield from ((batch, c) for c in range(min(chunk, len(idx) - lo)))
+            # Free the spent chunk before the next is gathered; callers hold
+            # no reference to it either.
+            del batch
+        del idx
 
 
 def estimator_update(
@@ -328,7 +336,7 @@ def estimator_update(
     its previous estimate; one gathered batch serves all agents.
     Consumes the per-agent streams; counters are updated by ``step``.
     """
-    batch = None if y_t else _draw_batch(state.agent_rngs, obj, cfg.b, 1)
+    batch = None if y_t else obj.gather(_draw(state.agent_rngs, obj.n, cfg.b, 1))
     return _estimate(state, obj, x_next, batch, 0)
 
 
@@ -353,8 +361,7 @@ def _advance(
         raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g} at iteration {state.t}")
     cost = obj.n if y_t else cfg.b
     raw = obj.n if y_t else 2 * cfg.b
-    return replace(
-        state,
+    return AggregateState(
         x=x_next,
         g=g_next,
         s=s_next,
@@ -363,6 +370,8 @@ def _advance(
         raw_grad_evals=state.raw_grad_evals + obj.m * raw,
         comm_rounds=state.comm_rounds + k_t,
         comm_rounds_all_calls=state.comm_rounds_all_calls + 2 * k_t,
+        shared_rng=state.shared_rng,
+        agent_rngs=state.agent_rngs,
         y_last=y_t,
         k_last=k_t,
     )
@@ -383,7 +392,7 @@ def step(
     non-finite or beyond 1e12.
     """
     y_t = 1 if state.shared_rng.random() < cfg.p else 0
-    batch = None if y_t else _draw_batch(state.agent_rngs, obj, cfg.b, 1)
+    batch = None if y_t else obj.gather(_draw(state.agent_rngs, obj.n, cfg.b, 1))
     return _advance(state, obj, w, cfg, batch, 0)
 
 

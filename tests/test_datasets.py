@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -291,16 +292,17 @@ class TestFastPath:
         extra_dims=st.one_of(st.none(), st.integers(0, 5)),
         block_bytes=st.sampled_from([8, 40, 1 << 18]),
     )
-    def test_matches_line_parser(self, tmp_path_factory, case, extra_dims, block_bytes):
+    def test_matches_line_parser(self, case, extra_dims, block_bytes):
+        # In memory: parse_libsvm's dispatch on the bytes, with no temporary
+        # file per example.
         text, max_index = case
         d_override = None if extra_dims is None else max_index + extra_dims
-        path = tmp_path_factory.mktemp("fast") / "data.txt"
-        path.write_bytes(text.encode())
+        path, raw = Path("data.txt"), text.encode()
         with mock.patch.object(datasets, "_BLOCK_BYTES", block_bytes):
             # Only CRLF files take the slow path here.
-            assert (datasets._parse_blocks(path.read_bytes(), d_override) is None) == ("\r" in text)
-            got = parse_libsvm(path, d_override)
-        assert_bitwise_equal(got, line_parse(path, d_override))
+            assert (datasets._parse_blocks(raw, d_override) is None) == ("\r" in text)
+            got = datasets._parse(path, raw, d_override)
+        assert_bitwise_equal(got, datasets._parse_lines(path, raw, d_override))
 
     @pytest.mark.parametrize("text", [
         "", "\n", " \t\n\n", "+1", "-1\n\n\n", "  \t\n+1 2:1", "0\t1:.5  3:1e-3\n",

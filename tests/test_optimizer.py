@@ -565,9 +565,38 @@ def stream_states(state):
 COUNTERS = ("ifo_count", "raw_grad_evals", "comm_rounds", "comm_rounds_all_calls")
 
 
+def draw_block(obj, b, chunk):
+    """Steps per draw block: the most whole chunks whose int64 indices fit the budget."""
+    return chunk * max(1, optimizer._CHUNK_BYTES // (chunk * obj.m * b * 8))
+
+
+def count_draws(monkeypatch, m):
+    """Patch ``init`` so that each agent stream counts its ``integers`` calls."""
+    calls = [0] * m
+
+    class CountingRng:
+        def __init__(self, rng, i):
+            self.rng, self.i = rng, i
+
+        def integers(self, *args, **kwargs):
+            calls[self.i] += 1
+            return self.rng.integers(*args, **kwargs)
+
+    real_init = optimizer.init
+
+    def counting_init(*args, **kwargs):
+        state = real_init(*args, **kwargs)
+        rngs = tuple(CountingRng(rng, i) for i, rng in enumerate(state.agent_rngs))
+        return dataclasses.replace(state, agent_rngs=rngs)
+
+    monkeypatch.setattr(optimizer, "init", counting_init)
+    return calls
+
+
 class TestChunkedRun:
-    """``run`` draws and gathers cheap steps by chunks; a loop of ``step`` does
-    it one step at a time.  The two must agree bitwise, whatever the chunk."""
+    """``run`` draws cheap steps' indices by blocks and gathers them by chunks;
+    a loop of ``step`` does both one step at a time.  The two must agree
+    bitwise, whatever the chunk and the block."""
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("chunk", [1, 2, 3, None])
@@ -613,31 +642,16 @@ class TestChunkedRun:
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
         # A structural guard: the chunked loop calls each agent's integers()
-        # and the objective's gather once per chunk, and each cheap step's
-        # products (two CSR, one CSC) read its chunk's indices and data in
-        # place: no step copies rows.
+        # once per draw block and the objective's gather once per chunk, and
+        # each cheap step's products (two CSR, one CSC) read its chunk's
+        # indices and data in place: no step copies rows.
         obj = make_objective(kind, 4, 9, 3, seed=54)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=55)
         chunk = 3
         monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
-        calls = [0] * obj.m
-
-        class CountingRng:
-            def __init__(self, rng, i):
-                self.rng, self.i = rng, i
-
-            def integers(self, *args, **kwargs):
-                calls[self.i] += 1
-                return self.rng.integers(*args, **kwargs)
-
-        real_init = optimizer.init
-
-        def counting_init(*args, **kwargs):
-            state = real_init(*args, **kwargs)
-            rngs = tuple(CountingRng(rng, i) for i, rng in enumerate(state.agent_rngs))
-            return dataclasses.replace(state, agent_rngs=rngs)
-
+        block = draw_block(obj, cfg.b, chunk)
+        calls = count_draws(monkeypatch, obj.m)
         chunks, products = [], {"csr": [], "csc": []}
         real_gather = obj.gather
 
@@ -651,12 +665,11 @@ class TestChunkedRun:
                 return kernel(n_row, n_col, indptr, indices, data, v, out)
             return call
 
-        monkeypatch.setattr(optimizer, "init", counting_init)
         monkeypatch.setattr(obj, "gather", recording_gather)
         monkeypatch.setattr(objectives, "csr_matvec", recording("csr", objectives.csr_matvec))
         monkeypatch.setattr(objectives, "csc_matvec", recording("csc", objectives.csc_matvec))
         run(obj, w, cfg, np.zeros(3))
-        assert calls == [math.ceil(cheap_steps(cfg) / chunk)] * obj.m
+        assert calls == [math.ceil(cheap_steps(cfg) / block)] * obj.m
         assert cheap_steps(cfg) > chunk
         assert len(chunks) == math.ceil(cheap_steps(cfg) / chunk)
         if kind != "quadratic":
@@ -669,6 +682,28 @@ class TestChunkedRun:
                     assert np.shares_memory(data, chunk_data)
         else:
             assert products == {"csr": [], "csc": []}
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_run_over_several_draw_blocks_is_a_step_loop(self, kind, monkeypatch):
+        # Chunks of 2 steps, blocks of several chunks, at least 3 blocks and a
+        # short last chunk.  (A quadratic chunk holds just its indices, so
+        # its blocks are single chunks.)
+        obj = make_objective(kind, 4, 9, 3, seed=56)
+        w = make_w(build_ring(4))
+        cfg = manual_config(4, b=3, p=0.3, t_max=60, seed=57)
+        chunk = 2
+        monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
+        block = draw_block(obj, cfg.b, chunk)
+        assert block >= 3 * chunk and cheap_steps(cfg) > 2 * block and cheap_steps(cfg) % chunk
+        calls = count_draws(monkeypatch, obj.m)
+        res = run(obj, w, cfg, np.zeros(3))
+        assert calls == [math.ceil(cheap_steps(cfg) / block)] * obj.m
+        state, _, telemetry = step_loop(obj, w, cfg, np.zeros(3))
+        fs = res.final_state
+        for name in ("x", "g", "s"):
+            np.testing.assert_array_equal(getattr(fs, name), getattr(state, name))
+        assert res.telemetry == telemetry
+        assert [rng.rng.bit_generator.state for rng in fs.agent_rngs] == stream_states(state)[1:]
 
 
 class TestAgainstReference:
