@@ -19,24 +19,28 @@ k * sqrt(eta_u)^k).  Two all-k bounds hold and the tests pin both down:
 k rounds of the recursion apply a fixed matrix, the mixing polynomial
 P_k(W) = V diag(p_k(lambda)) V^T, where W = V diag(lambda) V^T and p_k is the
 scalar recursion p(-1) = p(0) = 1, p(j+1) = (1 + eta_u) lambda p(j) -
-eta_u p(j-1).  ``fastmix`` builds P_k(W) once per gossip matrix and k from
-``GossipMatrix.spectrum``, the eigendecomposition that the matrix's
-constructor computed, so mixing itself makes no LAPACK call.  It keeps P_k(W)
-in ``GossipMatrix.polynomials`` and then mixes with one matrix product.
-The recursion stays the definition; the tests run it round by round as the
-reference.  Each cached k costs m^2 * 8 bytes (8 MB at m = 1000) on top of
-W's eigenvectors, and a run uses at most three values of k.
+eta_u p(j-1).  ``mixing_polynomials`` builds P_k(W) for several k from one
+pass of that recursion over the eigenvalues of ``GossipMatrix.spectrum``, the
+eigendecomposition that the matrix's constructor computed, so mixing makes no
+LAPACK call; ``dearest.optimizer.init`` calls it once per run for the run's
+k_in, hat_k and big_k.  The polynomials are kept in
+``GossipMatrix.polynomials``, and ``fastmix`` mixes with one matrix product,
+building a k it does not find there.  The recursion stays the definition; the
+tests run it round by round as the reference.  Each cached k costs m^2 * 8
+bytes (8 MB at m = 1000) on top of W's eigenvectors, and a run uses at most
+three values of k.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
 from .topology import GossipMatrix
 
-__all__ = ["MixingError", "chebyshev_momentum", "fastmix"]
+__all__ = ["MixingError", "chebyshev_momentum", "fastmix", "mixing_polynomials"]
 
 
 class MixingError(ValueError):
@@ -57,28 +61,42 @@ def chebyshev_momentum(lambda2: float) -> float:
     return (1.0 - root) / (1.0 + root)
 
 
-def _mixing_polynomial(w: GossipMatrix, k: int, eta_u: float) -> np.ndarray:
-    """P_k(W), from W's eigendecomposition; cached on ``w`` per k."""
-    poly = w.polynomials.get(k)
-    if poly is None:
-        lam, v = w.spectrum
-        # (1 + eta_u) * lam * cur - eta_u * prev, in the same order, in place.
-        scaled = (1.0 + eta_u) * lam
-        prev, cur, tmp = np.ones_like(lam), np.ones_like(lam), np.empty_like(lam)
-        for _ in range(k):
-            np.multiply(scaled, cur, out=tmp)
-            np.multiply(eta_u, prev, out=prev)
-            np.subtract(tmp, prev, out=prev)
-            prev, cur = cur, prev
-        # p_k(1) = 1 for every k, and W's top eigenvalue is 1 (checked at
-        # construction).  LAPACK returns it only to within rounding, which
-        # the recursion would amplify by p_k'(1) ~ k (1 + eta_u) / (1 - eta_u)
-        # into a drift of the column means.
-        cur[-1] = 1.0
-        poly = (v * cur) @ v.T
-        poly.setflags(write=False)
-        w.polynomials[k] = poly
-    return poly
+def _check_rounds(k: object) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise MixingError(f"round count must be a nonnegative integer, got {k!r}")
+    return int(k)
+
+
+def mixing_polynomials(w: GossipMatrix, rounds: Iterable[int]) -> None:
+    """Build and cache on ``w`` the P_k(W) of every k in ``rounds`` it lacks.
+
+    One pass of the eigenvalue recursion up to the largest such k keeps each
+    wanted k as it passes, bitwise what a pass up to that k alone gives.
+    k = 0 needs no polynomial (``fastmix`` copies its input).
+    """
+    wanted = {k for k in map(_check_rounds, rounds) if k and k not in w.polynomials}
+    if not wanted:
+        return
+    eta_u = chebyshev_momentum(w.lambda2)
+    lam, v = w.spectrum
+    # (1 + eta_u) * lam * cur - eta_u * prev, in the same order, in place.
+    scaled = (1.0 + eta_u) * lam
+    prev, cur, tmp = np.ones_like(lam), np.ones_like(lam), np.empty_like(lam)
+    for k in range(1, max(wanted) + 1):
+        np.multiply(scaled, cur, out=tmp)
+        np.multiply(eta_u, prev, out=prev)
+        np.subtract(tmp, prev, out=prev)
+        prev, cur = cur, prev
+        if k in wanted:
+            # p_k(1) = 1 for every k, and W's top eigenvalue is 1 (checked at
+            # construction).  LAPACK returns it only to within rounding, which
+            # the recursion would amplify by p_k'(1) ~ k (1 + eta_u) / (1 - eta_u)
+            # into a drift of the column means.
+            p_k = cur.copy()
+            p_k[-1] = 1.0
+            poly = (v * p_k) @ v.T
+            poly.setflags(write=False)
+            w.polynomials[k] = poly
 
 
 def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> np.ndarray:
@@ -99,9 +117,10 @@ def fastmix(u0: np.ndarray, w: GossipMatrix, k: int) -> np.ndarray:
         raise MixingError(f"expected an (m, d) matrix or (m,) vector, got shape {u.shape}")
     if u.shape[0] != w.m:
         raise MixingError(f"input has {u.shape[0]} rows but the gossip matrix has {w.m}")
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise MixingError(f"round count must be a nonnegative integer, got {k!r}")
-    eta_u = chebyshev_momentum(w.lambda2)
+    k = _check_rounds(k)
+    chebyshev_momentum(w.lambda2)  # rejects a lambda2 outside [0, 1) for every k
     if k == 0:
         return u.copy()
-    return _mixing_polynomial(w, int(k), eta_u) @ u
+    if k not in w.polynomials:
+        mixing_polynomials(w, (k,))
+    return w.polynomials[k] @ u

@@ -24,7 +24,9 @@ Two concrete instances:
   that a scipy without them fails at import.  The sigmoid is numpy's tanh,
   0.5 + 0.5 * tanh(t / 2), which cannot overflow.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
-  minimizer, used as an oracle in tests; gradients come from Gram sums.
+  minimizer, used as an oracle in tests; gradients come from Gram sums.  A
+  cheap step gathers the sampled A_ij one block of agents at a time, sized
+  so that its two products read the block from cache.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
 
 from ._worker import concurrently
+
+# About how many bytes of A_ij blocks one agent block of a quadratic cheap
+# step gathers: small enough for its two products to read them from cache.
+# The optimizer's _CHUNK_BYTES bounds what a chunk of steps holds.
+_GATHER_BYTES = 2**18
 
 __all__ = [
     "FiniteSumObjective",
@@ -115,8 +122,13 @@ def _regularizer_value(x: np.ndarray, lam: float) -> float:
 
 
 def _regularizer_grad(x: np.ndarray, lam: float) -> np.ndarray:
-    denom = 1.0 + x * x
-    return lam * 2.0 * x / (denom * denom)
+    # lam * 2.0 * x / (denom * denom) with denom = 1.0 + x * x, the same
+    # operations in the same order, into two arrays.
+    denom = np.multiply(x, x)
+    np.add(1.0, denom, out=denom)
+    np.multiply(denom, denom, out=denom)
+    out = np.multiply(lam * 2.0, x)
+    return np.divide(out, denom, out=out)
 
 
 def _sigmoid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -221,11 +233,14 @@ class LogisticNCObjective(FiniteSumObjective):
 
     def gather(self, idx: np.ndarray) -> tuple:
         # Labels, (C, m*b), and the CSR arrays of the chunk's rows of the stacked matrix.
-        x, rows = self._x, (idx + self._starts[:, None]).ravel().astype(self._x.indices.dtype)
+        # Fancy indexing is fastest with intp rows; the kernel takes the
+        # matrix's index type.
+        x, rows = self._x, (idx + self._starts[:, None]).ravel()
         indptr = np.zeros(rows.size + 1, dtype=x.indptr.dtype)
         np.cumsum(self._row_nnz[rows], out=indptr[1:])
         indices, data = np.empty(indptr[-1], dtype=x.indices.dtype), np.empty(indptr[-1])
-        csr_row_index(rows.size, rows, x.indptr, x.indices, x.data, indices, data)
+        csr_row_index(rows.size, rows.astype(x.indices.dtype, copy=False), x.indptr, x.indices,
+                      x.data, indices, data)
         return self._y[rows].reshape(idx.shape[0], -1), indptr, indices, data
 
     def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
@@ -308,7 +323,7 @@ class QuadraticObjective(FiniteSumObjective):
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray) -> None:
-        a = np.asarray(a, dtype=float)
+        a = np.ascontiguousarray(a, dtype=float)
         c = np.asarray(c, dtype=float)
         if a.ndim != 4 or c.ndim != 3 or a.shape[:3] != c.shape:
             raise ValueError(f"incompatible shapes a={a.shape}, c={c.shape}")
@@ -318,7 +333,9 @@ class QuadraticObjective(FiniteSumObjective):
                 raise ValueError(f"agent {bad[0]} has non-finite entries in {name}")
         self.a = a
         self.c = c
-        self.m, self.n, _, self.d = a.shape
+        self.m, self.n, q, self.d = a.shape
+        self._flat = a.reshape(self.m * self.n, q * self.d)  # a view, one row per A_ij
+        self._starts = np.arange(self.m) * self.n
         # Transposed views: matmul reads them in place, with no copy of a.
         at = a.reshape(self.m, -1, self.d).transpose(0, 2, 1)
         self._gram = at @ at.transpose(0, 2, 1)
@@ -340,11 +357,21 @@ class QuadraticObjective(FiniteSumObjective):
     def batch_diff(self, batch: np.ndarray, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         # The batch is the indices: a chunk of (q, d) blocks would outgrow
         # the optimizer's chunk budget.  The residual difference is
-        # A_ij (x_new - x_old): c cancels.
-        asub = self.a[np.arange(self.m)[:, None], batch[c]]
-        m, b, q, d = asub.shape
-        r = asub @ (x_new - x_old)[:, None, :, None]
-        return (r.reshape(m, 1, b * q) @ asub.reshape(m, b * q, d))[:, 0] / b
+        # A_ij (x_new - x_old): c cancels.  Agents go in blocks whose
+        # gathered A_ij fit _GATHER_BYTES, so both products read them from
+        # cache: r = A_ij dx_i for each sample, then r_i^T A_i,sub per agent.
+        rows = batch[c] + self._starts[:, None]
+        b, (q, d) = rows.shape[1], self.a.shape[2:]
+        agents = max(1, _GATHER_BYTES // (8 * b * q * d))
+        dx = (x_new - x_old)[:, None, :, None]
+        out = np.empty((self.m, 1, d))
+        for lo in range(0, self.m, agents):
+            hi = min(lo + agents, self.m)
+            asub = np.take(self._flat, rows[lo:hi].ravel(), axis=0).reshape(hi - lo, b, q, d)
+            r = asub @ dx[lo:hi]
+            np.matmul(r.reshape(hi - lo, 1, b * q), asub.reshape(hi - lo, b * q, d), out=out[lo:hi])
+        out /= b
+        return out[:, 0]
 
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         r = self.a.reshape(-1, self.d) @ x - self.c.ravel()
@@ -371,12 +398,10 @@ class QuadraticObjective(FiniteSumObjective):
         """Global minimizer: the solution of H_bar x = r_bar."""
         return np.linalg.solve(self._gram_bar, self._rhs_bar)
 
-    def optimal_value(self) -> float:
-        return self.global_value(self.solution())
-
     @property
     def value_lower_bound(self) -> float:
-        return self.optimal_value()
+        """The global minimum, attained at ``solution()``."""
+        return self.global_value(self.solution())
 
 
 def make_quadratic(m: int, n: int, d: int, seed: int, q: int | None = None) -> QuadraticObjective:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics as _metrics
-from .mixing import fastmix
+from .mixing import fastmix, mixing_polynomials
 from .objectives import FiniteSumObjective
 from .topology import GossipMatrix
 
@@ -263,7 +263,8 @@ def init(
     """Consensual start: x0 = 1 x0_bar^T, exact local gradients, mixed tracker.
 
     Costs n oracle calls per agent for the exact g0 and k_in gossip rounds
-    for s0 = fastmix(g0, k_in).
+    for s0 = fastmix(g0, k_in).  Builds the run's mixing polynomials, of
+    k_in, hat_k and big_k rounds, from one recursion.
     """
     x0_bar = np.asarray(x0_bar, dtype=float)
     if x0_bar.shape != (obj.d,):
@@ -272,6 +273,7 @@ def init(
         raise ConfigError(f"gossip matrix is for {w.m} agents but the objective has {obj.m}")
     if len(cfg.agent_seeds) != obj.m:
         raise ConfigError(f"{len(cfg.agent_seeds)} agent seeds for {obj.m} agents")
+    mixing_polynomials(w, (cfg.k_in, cfg.hat_k, cfg.big_k))
     x0 = np.tile(x0_bar, (obj.m, 1))
     g0 = obj.grad_rows(x0)
     s0 = fastmix(g0, w, cfg.k_in)

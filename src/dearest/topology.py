@@ -8,7 +8,7 @@ gap 1 - lambda2(W) govern how fast repeated gossip averages the network.
 
 Each constructor makes one LAPACK call, ``np.linalg.eigh``, and everything
 spectral reads its result: the validation checks, lambda2, and the mixing
-polynomials that ``dearest.mixing.fastmix`` builds.  W = I - L/lambda1 has
+polynomials that ``dearest.mixing`` builds.  W = I - L/lambda1 has
 the eigenvectors of L, so a Laplacian's decomposition serves W as well.
 """
 
@@ -217,7 +217,7 @@ class GossipMatrix:
     ``gossip_from_matrix``, which enforce symmetry, unit row sums, the edge
     sparsity pattern, and a simple unit eigenvalue; the arrays are frozen
     read-only.  ``polynomials`` holds the mixing polynomials P_K(W) by round
-    count K that ``fastmix`` builds, so every run that shares one instance
+    count K that ``dearest.mixing`` builds, so every run that shares one instance
     shares them; ``dataclasses.replace`` starts a copy with an empty one.
     Instances compare and hash by identity, as arrays have no single truth
     value.

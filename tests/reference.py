@@ -16,6 +16,13 @@ directly from the definitions as possible, so that the fast paths in
   written with scipy's sparse-matrix operators (row indexing and ``@``)
   where the library calls their kernels directly, and ``smoothness_bound``,
   the logistic smoothness bound from the same operators;
+* ``BatchedMatmulQuadratic`` -- ``QuadraticObjective`` whose cheap step
+  gathers every agent's blocks at once and makes one 4-D product and one
+  batched product over them, where the library goes by agent blocks;
+* ``_regularizer_grad`` -- the logistic regularizer's gradient as one
+  expression, where the library computes it in place;
+* ``mixing_polynomial`` -- one mixing polynomial P_k(W), its eigenvalue
+  recursion run up to k alone;
 * ``reference_fastmix`` -- the accelerated-gossip momentum recursion, round
   by round;
 * ``reference_run`` -- a whole DEAREST run: per agent and round by round,
@@ -46,6 +53,7 @@ def _regularizer_value(x, lam):
 
 
 def _regularizer_grad(x, lam):
+    """Gradient of lam * sum_k x_k^2 / (1 + x_k^2)."""
     return lam * 2.0 * x / (1.0 + x * x) ** 2
 
 
@@ -158,6 +166,22 @@ class ScipyOperatorLogistic(LogisticNCObjective):
                                     - _regularizer_grad(x_old, self.lambda_reg))
 
 
+class BatchedMatmulQuadratic(QuadraticObjective):
+    """``QuadraticObjective`` whose cheap step makes one gather and two products.
+
+    ``batch_diff`` gathers all m agents' (b, q, d) blocks at once, forms the
+    residual differences with one 4-D product, and each agent's transposed
+    product with one batched product.  The library makes the same products
+    agent block by agent block, so the two are bitwise equal.
+    """
+
+    def batch_diff(self, batch, c, x_new, x_old):
+        asub = self.a[np.arange(self.m)[:, None], batch[c]]
+        m, b, q, d = asub.shape
+        r = asub @ (x_new - x_old)[:, None, :, None]
+        return (r.reshape(m, 1, b * q) @ asub.reshape(m, b * q, d))[:, 0] / b
+
+
 def smoothness_bound(obj):
     """A ``LogisticNCObjective``'s smoothness bound, row norms from scipy's ``@``.
 
@@ -174,6 +198,18 @@ def smoothness_bound(obj):
         row_sq.append(rows @ ones)
     ell = (np.concatenate(row_sq) / 4.0 + 2.0 * obj.lambda_reg).reshape(obj.m, n)
     return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
+
+
+def mixing_polynomial(w, k):
+    """P_k(W) = V diag(p_k(lambda)) V^T, with p_k(1) set to exactly 1."""
+    eta_u = chebyshev_momentum(w.lambda2)
+    lam, v = w.spectrum
+    prev = cur = np.ones_like(lam)
+    for _ in range(k):
+        prev, cur = cur, (1.0 + eta_u) * lam * cur - eta_u * prev
+    cur = cur.copy()
+    cur[-1] = 1.0
+    return (v * cur) @ v.T
 
 
 def reference_fastmix(u0, w, k):

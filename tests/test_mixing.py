@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dearest.mixing import MixingError, chebyshev_momentum, fastmix
+from dearest.mixing import MixingError, chebyshev_momentum, fastmix, mixing_polynomials
 from dearest.topology import (
     build_complete,
     build_random,
@@ -24,7 +24,7 @@ from dearest.topology import (
     laplacian,
 )
 
-from reference import reference_fastmix
+from reference import mixing_polynomial, reference_fastmix
 
 
 def make_w(kind, m, **kw):
@@ -258,6 +258,63 @@ class TestMixingPolynomialCache:
         a, b = make_w("ring", 5), make_w("ring", 5)
         fastmix(np.eye(5), a, 4)
         assert 4 in a.polynomials and b.polynomials == {}
+
+
+class TestOneRecursion:
+    """``mixing_polynomials`` builds several P_k from one recursion, each
+    bitwise ``reference.mixing_polynomial``, the recursion run to k alone."""
+
+    @staticmethod
+    def assert_each_alone(w, rounds):
+        assert set(w.polynomials) >= set(rounds) - {0}
+        for k in set(rounds) - {0}:
+            assert np.array_equal(w.polynomials[k], mixing_polynomial(w, k))
+            assert not w.polynomials[k].flags.writeable
+
+    @pytest.mark.parametrize("rounds", [
+        (426, 192, 192),  # ring100-quad's k_in > hat_k == big_k
+        (7, 3, 12),
+        (0, 9, 9),
+        (0, 0, 0),
+        (5,),
+    ], ids=["ring100", "three-distinct", "k_in-zero", "all-zero", "one"])
+    def test_bitwise_each_k_alone(self, rounds):
+        w = make_w("ring", 100 if max(rounds) > 100 else 12)
+        mixing_polynomials(w, rounds)
+        assert set(w.polynomials) == set(rounds) - {0}
+        self.assert_each_alone(w, rounds)
+
+    def test_cached_k_is_kept_and_fastmix_reads_the_rest(self):
+        w = make_w("ring", 30)
+        u = np.random.default_rng(6).standard_normal((30, 3))
+        fastmix(u, w, 40)
+        cached = w.polynomials[40]
+        mixing_polynomials(w, (60, 40, 20))
+        assert w.polynomials[40] is cached
+        self.assert_each_alone(w, (20, 40, 60))
+        built = dict(w.polynomials)
+        fresh = dataclasses.replace(w)
+        for k in (0, 20, 40, 60):
+            assert np.array_equal(fastmix(u, w, k), fastmix(u, fresh, k))
+        assert w.polynomials == built and all(w.polynomials[k] is built[k] for k in built)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        m=st.integers(2, 30),
+        graph_seed=st.integers(0, 10_000),
+        rounds=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+    )
+    def test_random_graphs_and_round_sets(self, m, graph_seed, rounds):
+        w = make_w("random", m, prob=0.4, seed=graph_seed)
+        mixing_polynomials(w, rounds)
+        self.assert_each_alone(w, rounds)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, "3"])
+    def test_rejects_bad_round_counts(self, bad):
+        w = make_w("ring", 5)
+        with pytest.raises(MixingError, match="round count"):
+            mixing_polynomials(w, (3, bad))
+        assert w.polynomials == {}
 
 
 class TestFastmixProperties:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,15 +15,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dearest
+from dearest import objectives
 from dearest.objectives import (
     LogisticNCObjective,
     QuadraticObjective,
+    _regularizer_grad,
     _sigmoid,
     make_quadratic,
     make_synthetic_logistic,
 )
 
-from reference import batch_grad_mean, global_grad, local_grad, local_value, smoothness_bound
+import reference
+from reference import (
+    BatchedMatmulQuadratic,
+    batch_grad_mean,
+    global_grad,
+    local_grad,
+    local_value,
+    smoothness_bound,
+)
 
 
 def central_diff_grad(func, x, h=1e-6):
@@ -137,6 +148,18 @@ class TestLogisticGradients:
         g = obj.component_grad(0, 0, np.array([1.0, 0.0, 0.0]))
         assert g[0] == pytest.approx(1e-4 * 2.0 / 4.0, rel=1e-12)  # 5e-5
         assert g[1] == 0.0 and g[2] == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 3.0])
+    def test_regularizer_grad_bitwise_the_expression(self, lam):
+        # Zero, signed zero, tiny, negative and large values: at |x| >= 1e77
+        # denom * denom overflows to inf and the gradient is a signed zero,
+        # or NaN where lam * 2.0 * x overflows too.
+        x = np.array([0.0, -0.0, 1e-300, 0.5, -0.5, 1.0, -3.7, 12.25, 1e75, -1e75,
+                      1e77, -1e77, 1e200, -1e200, 1.7976931348623157e308, -1.7976931348623157e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for arr in (x, x.reshape(4, 4), x[::-1].reshape(2, 8)):
+                got, ref = _regularizer_grad(arr, lam), reference._regularizer_grad(arr, lam)
+                assert got.tobytes() == ref.tobytes()
 
     def test_matches_finite_differences(self):
         obj = tiny_logistic(lambda_reg=1e-3)
@@ -293,7 +316,7 @@ class TestQuadratic:
 
     def test_lower_bound_is_attained_value(self):
         obj = make_quadratic(2, 4, 3, seed=5)
-        assert obj.value_lower_bound == pytest.approx(obj.optimal_value(), rel=1e-12)
+        assert obj.value_lower_bound == pytest.approx(obj.global_value(obj.solution()), rel=1e-12)
         rng = np.random.default_rng(13)
         for _ in range(20):
             assert obj.global_value(rng.standard_normal(obj.d)) >= obj.value_lower_bound - 1e-12
@@ -492,6 +515,63 @@ class TestPairedBatchDiff:
         x_new = rng.standard_normal((m, d))
         x_old = rng.standard_normal((m, d))
         assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+
+
+class TestQuadraticAgentBlocks:
+    """The quadratic cheap step, made agent block by agent block, is bitwise
+    ``reference.BatchedMatmulQuadratic``'s products over all agents at once."""
+
+    @staticmethod
+    def assert_bitwise(obj, idx, x, agents_per_block=None):
+        # Steps c = 0.. of one gathered chunk, from x[c] to x[c + 1].
+        ref = BatchedMatmulQuadratic(obj.a, obj.c)
+        steps, _, b = idx.shape
+        q, d = obj.a.shape[2:]
+        budget = objectives._GATHER_BYTES
+        if agents_per_block is not None:
+            budget = agents_per_block * 8 * b * q * d
+        with mock.patch.object(objectives, "_GATHER_BYTES", budget):
+            batch, ref_batch = obj.gather(idx), ref.gather(idx)
+            for c in range(steps):
+                got = obj.batch_diff(batch, c, x[c + 1], x[c])
+                assert got.shape == (obj.m, obj.d)
+                assert got.tobytes() == ref.batch_diff(ref_batch, c, x[c + 1], x[c]).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 9),
+        n=st.integers(1, 6),
+        q=st.integers(1, 9),
+        d=st.integers(1, 12),
+        b=st.integers(1, 9),
+        steps=st.integers(1, 3),
+        agents=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=7, n=5, q=4, d=4, b=3, steps=1, agents=3, seed=0)  # m not a multiple of the block
+    @example(m=1, n=4, q=3, d=5, b=2, steps=2, agents=2, seed=1)  # one agent
+    @example(m=3, n=2, q=2, d=3, b=7, steps=1, agents=1, seed=2)  # b > n: repeated indices
+    @example(m=4, n=6, q=7, d=9, b=4, steps=3, agents=2, seed=3)  # q != d, c > 0
+    @example(m=5, n=3, q=1, d=10, b=5, steps=2, agents=0, seed=4)  # q = 1, a block under one agent
+    def test_bitwise_the_batched_matmul(self, m, n, q, d, b, steps, agents, seed):
+        obj = make_quadratic(m, n, d, seed=seed, q=q)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, n, size=(steps, m, b))
+        self.assert_bitwise(obj, idx, rng.standard_normal((steps + 1, m, d)), agents)
+
+    def test_duplicate_indices(self):
+        obj = make_quadratic(6, 5, 3, seed=39, q=2)
+        idx = np.array([[[4, 4, 4], [0, 1, 0], [2, 2, 3], [1, 1, 1], [3, 0, 3], [4, 4, 0]]])
+        x = np.random.default_rng(40).standard_normal((2, obj.m, obj.d))
+        self.assert_bitwise(obj, idx, x, agents_per_block=4)
+
+    @pytest.mark.parametrize("m", [100, 45])
+    def test_ring100_shape_at_the_real_budget(self, m):
+        # n = 32, q = d = 20, b = 4: 20 agents a block, so m = 45 ends in a short one.
+        obj = make_quadratic(m, 32, 20, seed=41)
+        rng = np.random.default_rng(42)
+        idx = rng.integers(0, obj.n, size=(3, m, 4))
+        self.assert_bitwise(obj, idx, rng.standard_normal((4, m, obj.d)))
 
 
 def held_nbytes(batch):

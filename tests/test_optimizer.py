@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dearest import objectives, optimizer
+from dearest import mixing, objectives, optimizer
 from dearest.metrics import record
 from dearest.objectives import LogisticNCObjective, make_quadratic, make_synthetic_logistic
 from dearest.optimizer import (
@@ -32,7 +32,13 @@ from dearest.topology import (
     laplacian,
 )
 
-from reference import BincountLogistic, ScipyOperatorLogistic, batch_grad_mean, reference_run
+from reference import (
+    BincountLogistic,
+    ScipyOperatorLogistic,
+    batch_grad_mean,
+    mixing_polynomial,
+    reference_run,
+)
 
 
 def make_w(graph):
@@ -435,6 +441,37 @@ class TestRun:
                 assert getattr(other.final_state, name) == getattr(first.final_state, name)
             assert other.telemetry == first.telemetry
         assert set(w.polynomials) <= {big_k, hat_k, k_in}
+
+    def test_init_builds_every_polynomial_from_one_recursion(self, monkeypatch):
+        # init builds P_k for k_in, hat_k and big_k with one call, and the
+        # steps mix through fastmix without building another.  The run is
+        # bitwise one whose polynomials were each built alone.
+        obj = make_quadratic(5, 6, 3, seed=14)
+        cfg = manual_config(5, big_k=9, hat_k=4, k_in=13, t_max=20)
+        calls = []
+        real = optimizer.mixing_polynomials
+
+        def counting(w, rounds):
+            calls.append(tuple(rounds))
+            real(w, rounds)
+
+        def unexpected(w, rounds):
+            raise AssertionError(f"fastmix built P_k for {tuple(rounds)}")
+
+        monkeypatch.setattr(optimizer, "mixing_polynomials", counting)
+        monkeypatch.setattr(mixing, "mixing_polynomials", unexpected)
+        w = make_w(build_ring(5))
+        res = run(obj, w, cfg, np.zeros(3))
+        assert calls == [(13, 4, 9)] and set(w.polynomials) == {13, 4, 9}
+        alone = make_w(build_ring(5))
+        for k in (13, 4, 9):
+            alone.polynomials[k] = mixing_polynomial(alone, k)
+        ref = run(obj, alone, cfg, np.zeros(3))
+        for name in ("x", "g", "s"):
+            np.testing.assert_array_equal(getattr(res.final_state, name),
+                                          getattr(ref.final_state, name))
+        np.testing.assert_array_equal(res.x_out, ref.x_out)
+        assert res.telemetry == ref.telemetry
 
     def test_output_seed_changes_draw(self):
         obj = make_quadratic(4, 6, 3, seed=13)
