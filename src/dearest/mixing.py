@@ -75,14 +75,12 @@ def mixing_polynomials(w: GossipMatrix, rounds: Iterable[int]) -> None:
     k = 0 needs no polynomial (``fastmix`` copies its input).
     """
     wanted = {k for k in map(_check_rounds, rounds) if k and k not in w.polynomials}
-    if not wanted:
-        return
     eta_u = chebyshev_momentum(w.lambda2)
     lam, v = w.spectrum
     # (1 + eta_u) * lam * cur - eta_u * prev, in the same order, in place.
     scaled = (1.0 + eta_u) * lam
     prev, cur, tmp = np.ones_like(lam), np.ones_like(lam), np.empty_like(lam)
-    for k in range(1, max(wanted) + 1):
+    for k in range(1, max(wanted, default=0) + 1):
         np.multiply(scaled, cur, out=tmp)
         np.multiply(eta_u, prev, out=prev)
         np.subtract(tmp, prev, out=prev)

@@ -357,18 +357,18 @@ class QuadraticObjective(FiniteSumObjective):
     def batch_diff(self, batch: np.ndarray, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         # The batch is the indices: a chunk of (q, d) blocks would outgrow
         # the optimizer's chunk budget.  The residual difference is
-        # A_ij (x_new - x_old): c cancels.  Agents go in blocks whose
-        # gathered A_ij fit _GATHER_BYTES, so both products read them from
-        # cache: r = A_ij dx_i for each sample, then r_i^T A_i,sub per agent.
+        # A_ij (x_new - x_old): c cancels.  Per block of agents, one gather,
+        # r = A_ij dx_i per sample, then r_i^T A_i,sub per agent.  dx is
+        # repeated per sample: matmul is slower when it broadcasts.
         rows = batch[c] + self._starts[:, None]
         b, (q, d) = rows.shape[1], self.a.shape[2:]
         agents = max(1, _GATHER_BYTES // (8 * b * q * d))
-        dx = (x_new - x_old)[:, None, :, None]
+        dx = np.repeat(x_new - x_old, b, axis=0)[:, :, None]
         out = np.empty((self.m, 1, d))
         for lo in range(0, self.m, agents):
             hi = min(lo + agents, self.m)
-            asub = np.take(self._flat, rows[lo:hi].ravel(), axis=0).reshape(hi - lo, b, q, d)
-            r = asub @ dx[lo:hi]
+            asub = self._flat.take(rows[lo:hi].ravel(), axis=0).reshape((hi - lo) * b, q, d)
+            r = asub @ dx[lo * b:hi * b]
             np.matmul(r.reshape(hi - lo, 1, b * q), asub.reshape(hi - lo, b * q, d), out=out[lo:hi])
         out /= b
         return out[:, 0]
