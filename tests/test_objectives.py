@@ -550,7 +550,7 @@ class TestQuadraticAgentBlocks:
     )
     @example(m=7, n=5, q=4, d=4, b=3, steps=1, agents=3, seed=0)  # m not a multiple of the block
     @example(m=1, n=4, q=3, d=5, b=2, steps=2, agents=2, seed=1)  # one agent
-    @example(m=3, n=2, q=2, d=3, b=7, steps=1, agents=1, seed=2)  # b > n: repeated indices
+    @example(m=3, n=2, q=2, d=3, b=7, steps=1, agents=1, seed=2)  # b > n: every agent repeats
     @example(m=4, n=6, q=7, d=9, b=4, steps=3, agents=2, seed=3)  # q != d, c > 0
     @example(m=5, n=3, q=1, d=10, b=5, steps=2, agents=0, seed=4)  # q = 1, a block under one agent
     def test_bitwise_the_batched_matmul(self, m, n, q, d, b, steps, agents, seed):
@@ -558,12 +558,6 @@ class TestQuadraticAgentBlocks:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, n, size=(steps, m, b))
         self.assert_bitwise(obj, idx, rng.standard_normal((steps + 1, m, d)), agents)
-
-    def test_duplicate_indices(self):
-        obj = make_quadratic(6, 5, 3, seed=39, q=2)
-        idx = np.array([[[4, 4, 4], [0, 1, 0], [2, 2, 3], [1, 1, 1], [3, 0, 3], [4, 4, 0]]])
-        x = np.random.default_rng(40).standard_normal((2, obj.m, obj.d))
-        self.assert_bitwise(obj, idx, x, agents_per_block=4)
 
     @pytest.mark.parametrize("m", [100, 45])
     def test_ring100_shape_at_the_real_budget(self, m):
