@@ -2,13 +2,13 @@
 
 An objective is an m x n grid of component functions: agent i holds n
 components and its local function is their average; the global function is
-the average of the local ones.  The optimizer touches component gradients
-(the costed oracle) in two shapes only: full local gradients, one row per
-agent (``grad_rows``), and the cheap-step paired difference of mini-batch
-means for all agents at once.  A chunk of C cheap steps shares one row
-gather: ``gather`` takes their (C, m, b) indices and ``batch_diff`` computes
-step c, bitwise the same for every C.  Exact global values and gradients
-exist for diagnostics.
+the average of the local ones.  The optimizer calls component gradients (the
+costed oracle) only in stacked form, so an objective implements no single
+component: full local gradients, one row per agent (``grad_rows``), and the
+cheap-step paired difference of mini-batch means for all agents at once.  A
+chunk of C cheap steps shares one row gather: ``gather`` takes their
+(C, m, b) indices and ``batch_diff`` computes step c, bitwise the same for
+every C.  Exact global values and gradients exist for diagnostics.
 
 Two concrete instances:
 
@@ -58,22 +58,15 @@ __all__ = [
 class FiniteSumObjective(abc.ABC):
     """Average of m local functions, each an average of n components.
 
-    Subclasses set ``m``, ``n``, ``d`` and implement the component oracle,
-    the full local gradients of all agents, the gathered paired mini-batch
-    difference and the exact global value and gradient.
+    Subclasses set ``m``, ``n``, ``d`` and implement what the optimizer and
+    telemetry call: the full local gradients of all agents, the gathered
+    paired mini-batch difference, the exact global value and gradient, the
+    smoothness constant and a lower bound on the value.
     """
 
     m: int
     n: int
     d: int
-
-    @abc.abstractmethod
-    def component_value(self, i: int, j: int, x: np.ndarray) -> float:
-        """Value of component j on agent i."""
-
-    @abc.abstractmethod
-    def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        """Gradient of component j on agent i."""
 
     @abc.abstractmethod
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
@@ -211,21 +204,6 @@ class LogisticNCObjective(FiniteSumObjective):
         """Per-agent (n, d) feature matrices: CSR copies of the diagonal blocks."""
         return [self._x[s:s + self.n, i * self.d:(i + 1) * self.d] for i, s in enumerate(self._starts)]
 
-    def _row(self, i: int, j: int) -> np.ndarray:
-        x, k = self._x, i * self.n + j
-        lo, hi = x.indptr[k], x.indptr[k + 1]
-        return np.bincount(x.indices[lo:hi] - i * self.d, x.data[lo:hi], minlength=self.d)
-
-    def component_value(self, i: int, j: int, x: np.ndarray) -> float:
-        z = self._y[i * self.n + j] * float(self._row(i, j) @ x)
-        return float(_stable_logistic_loss(np.asarray(z))) + _regularizer_value(x, self.lambda_reg)
-
-    def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        b = self._y[i * self.n + j]
-        a = self._row(i, j)
-        z = b * float(a @ x)
-        return -b * float(_sigmoid(-z)) * a + _regularizer_grad(x, self.lambda_reg)
-
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
         z = self._y * (self._x @ x.ravel())
         coef = -(self._y * _sigmoid(-z)) / self.n
@@ -344,13 +322,6 @@ class QuadraticObjective(FiniteSumObjective):
         self._rhs_bar = self._rhs.sum(axis=0) / (self.m * self.n)
         self._smoothness = self._smoothness_bound()
 
-    def component_value(self, i: int, j: int, x: np.ndarray) -> float:
-        r = self.a[i, j] @ x - self.c[i, j]
-        return 0.5 * float(r @ r)
-
-    def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        return self.a[i, j].T @ (self.a[i, j] @ x - self.c[i, j])
-
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
         return ((self._gram @ x[:, :, None])[:, :, 0] - self._rhs) / self.n
 
@@ -425,11 +396,13 @@ def make_synthetic_logistic(
 ) -> LogisticNCObjective:
     """Gaussian-feature binary classification data from a noisy linear teacher.
 
-    ``flip_fraction`` of the labels are flipped so the problem is not
-    separable and keeps curvature at the optimum.
+    ``flip_fraction`` of the labels, a fraction in [0, 1], are flipped so the
+    problem is not separable and keeps curvature at the optimum.
     """
     if min(m, n, d) < 1:
         raise ValueError(f"dimensions must be positive, got m={m}, n={n}, d={d}")
+    if not 0.0 <= flip_fraction <= 1.0:
+        raise ValueError(f"flip_fraction must be in [0, 1], got {flip_fraction}")
     rng = np.random.default_rng(seed)
     teacher = rng.standard_normal(d)
     teacher /= np.linalg.norm(teacher)

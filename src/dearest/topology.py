@@ -100,16 +100,8 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
-
-    def degrees(self) -> np.ndarray:
-        lo, hi = self._endpoints()
-        return np.bincount(np.concatenate([lo, hi]), minlength=self.m)
-
     def adjacency(self) -> np.ndarray:
-        lo, hi = self._endpoints()
+        lo, hi = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2).T
         a = np.zeros((self.m, self.m))
         a[lo, hi] = 1.0
         a[hi, lo] = 1.0

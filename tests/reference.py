@@ -4,9 +4,12 @@ Each function here is written per agent, per sample or per gossip round, as
 directly from the definitions as possible, so that the fast paths in
 ``src/`` can be checked against it:
 
-* ``local_value``, ``local_grad`` and ``batch_grad_mean`` -- one agent's
-  local value, local gradient and mini-batch mean gradient, for both
-  objectives;
+* ``component_value``, ``local_value``, ``local_grad`` and
+  ``batch_grad_mean`` -- one component's value, one agent's local value,
+  local gradient and mini-batch mean gradient, for both objectives, from the
+  stored arrays (``a`` and ``c``, ``features`` and ``labels``).  The library
+  has no single-component oracle: component j's gradient is
+  ``batch_grad_mean(obj, i, [j], x)``;
 * ``global_grad`` -- the quadratic's global gradient from the residuals of
   all components, where ``QuadraticObjective`` uses its stored Gram sums;
 * ``BincountLogistic`` -- ``LogisticNCObjective`` with the numpy cheap-step
@@ -55,6 +58,15 @@ def _regularizer_value(x, lam):
 def _regularizer_grad(x, lam):
     """Gradient of lam * sum_k x_k^2 / (1 + x_k^2)."""
     return lam * 2.0 * x / (1.0 + x * x) ** 2
+
+
+def component_value(obj, i, j, x):
+    """Value of component j on agent i."""
+    if isinstance(obj, QuadraticObjective):
+        r = obj.a[i, j] @ x - obj.c[i, j]
+        return 0.5 * float(r @ r)
+    z = obj.labels[i][j] * (obj.features[i][j] @ x)[0]
+    return float(np.logaddexp(0.0, -z)) + _regularizer_value(x, obj.lambda_reg)
 
 
 def local_value(obj, i, x):

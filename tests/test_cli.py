@@ -205,6 +205,17 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_flip_fraction_out_of_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        path = write_spec(
+            tmp_path,
+            "objective = logistic\ntopology = ring\nm = 4\nepsilon = 1e-3\n"
+            f"flip_fraction = 1.5\noutput_dir = {out}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        assert "flip_fraction must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectra_ring(self, capsys):
         assert main(["spectra", "ring", "20"]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import dearest
 from dearest import objectives
 from dearest.objectives import (
+    FiniteSumObjective,
     LogisticNCObjective,
     QuadraticObjective,
     _regularizer_grad,
@@ -29,6 +31,7 @@ import reference
 from reference import (
     BatchedMatmulQuadratic,
     batch_grad_mean,
+    component_value,
     global_grad,
     local_grad,
     local_value,
@@ -45,10 +48,20 @@ def central_diff_grad(func, x, h=1e-6):
     return g
 
 
-def assert_grad_matches_fd(obj, i, j, x, rel=1e-5):
-    fd = central_diff_grad(lambda y: obj.component_value(i, j, y), x)
-    g = obj.component_grad(i, j, x)
-    assert np.linalg.norm(g - fd) <= rel * max(1.0, np.linalg.norm(fd))
+def assert_grads_match_fd(obj, x, rel):
+    """The library's global gradient and ``grad_rows`` against central differences.
+
+    The global gradient is checked against differences of ``global_value``,
+    and row i of ``grad_rows`` at x on every agent against differences of
+    the reference's ``local_value`` of agent i.
+    """
+    def check(g, fd):
+        assert np.linalg.norm(g - fd) <= rel * max(1.0, np.linalg.norm(fd))
+
+    check(obj.global_grad(x), central_diff_grad(obj.global_value, x))
+    rows = obj.grad_rows(np.tile(x, (obj.m, 1)))
+    for i in range(obj.m):
+        check(rows[i], central_diff_grad(partial(local_value, obj, i), x))
 
 
 def tiny_logistic(lambda_reg=1e-4, m=2, n=4, d=3, seed=0):
@@ -61,26 +74,26 @@ def tiny_logistic(lambda_reg=1e-4, m=2, n=4, d=3, seed=0):
 class TestLogisticValues:
     def test_value_at_origin_is_log_two(self):
         obj = tiny_logistic()
+        zero = np.zeros(obj.d)
+        assert obj.global_value(zero) == pytest.approx(math.log(2.0), rel=1e-12)
         for i in range(obj.m):
             for j in range(obj.n):
-                assert obj.component_value(i, j, np.zeros(obj.d)) == pytest.approx(
-                    math.log(2.0), rel=1e-12
-                )
+                assert component_value(obj, i, j, zero) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_huge_margin_does_not_overflow(self):
         obj = LogisticNCObjective(
             [np.array([[1.0, 0.0]])], [np.array([1.0])], lambda_reg=0.0
         )
-        val = obj.component_value(0, 0, np.array([100.0, 0.0]))
+        val = obj.global_value(np.array([100.0, 0.0]))
         assert val == pytest.approx(math.exp(-100.0), rel=1e-10)  # ~3.72e-44
         # the mirrored margin is the linear regime, not an overflow
-        val_neg = obj.component_value(0, 0, np.array([-100.0, 0.0]))
+        val_neg = obj.global_value(np.array([-100.0, 0.0]))
         assert val_neg == pytest.approx(100.0, rel=1e-12)
 
     def test_pure_regularizer_value(self):
         d = 7
         obj = LogisticNCObjective([np.zeros((1, d))], [np.array([1.0])], lambda_reg=1.0)
-        val = obj.component_value(0, 0, np.ones(d))
+        val = obj.global_value(np.ones(d))
         assert val == pytest.approx(math.log(2.0) + d / 2.0, rel=1e-12)
 
     def test_values_nonnegative(self):
@@ -89,7 +102,6 @@ class TestLogisticValues:
         for _ in range(50):
             x = 3.0 * rng.standard_normal(obj.d)
             assert obj.global_value(x) >= 0.0
-            assert obj.component_value(0, 0, x) >= 0.0
         assert obj.value_lower_bound == 0.0
 
 
@@ -132,20 +144,19 @@ class TestSigmoid:
 
 class TestLogisticGradients:
     def test_grad_at_origin(self):
+        # Every component's gradient at 0 is -(b / 2) a: row i is their mean.
         obj = tiny_logistic(lambda_reg=1e-4)
+        rows = obj.grad_rows(np.zeros((obj.m, obj.d)))
         for i in range(obj.m):
-            for j in range(obj.n):
-                a = obj.features[i][j].toarray().ravel()
-                b = obj.labels[i][j]
-                np.testing.assert_allclose(
-                    obj.component_grad(i, j, np.zeros(obj.d)), -(b / 2.0) * a, rtol=1e-12
-                )
+            a, b = obj.features[i].toarray(), obj.labels[i]
+            np.testing.assert_allclose(rows[i], np.mean(-(b[:, None] / 2.0) * a, axis=0),
+                                       rtol=1e-12, atol=1e-15)
 
     def test_regularizer_grad_value(self):
         obj = LogisticNCObjective(
             [np.zeros((1, 3))], [np.array([1.0])], lambda_reg=1e-4
         )
-        g = obj.component_grad(0, 0, np.array([1.0, 0.0, 0.0]))
+        g = obj.global_grad(np.array([1.0, 0.0, 0.0]))
         assert g[0] == pytest.approx(1e-4 * 2.0 / 4.0, rel=1e-12)  # 5e-5
         assert g[1] == 0.0 and g[2] == 0.0
 
@@ -165,19 +176,17 @@ class TestLogisticGradients:
         obj = tiny_logistic(lambda_reg=1e-3)
         rng = np.random.default_rng(2)
         for _ in range(25):
-            i = rng.integers(obj.m)
-            j = rng.integers(obj.n)
-            x = rng.standard_normal(obj.d)
-            assert_grad_matches_fd(obj, int(i), int(j), x)
+            assert_grads_match_fd(obj, rng.standard_normal(obj.d), rel=1e-5)
 
     def test_local_grad_is_component_mean(self):
         obj = tiny_logistic()
         rng = np.random.default_rng(3)
         for i in range(obj.m):
             x = rng.standard_normal(obj.d)
-            mean = np.mean([obj.component_grad(i, j, x) for j in range(obj.n)], axis=0)
-            lg = local_grad(obj, i, x)
-            assert np.linalg.norm(lg - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
+            mean = np.mean([batch_grad_mean(obj, i, [j], x) for j in range(obj.n)], axis=0)
+            row = obj.grad_rows(np.tile(x, (obj.m, 1)))[i]
+            for lg in (local_grad(obj, i, x), row):
+                assert np.linalg.norm(lg - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
 
     def test_global_is_mean_of_locals(self):
         obj = tiny_logistic()
@@ -197,7 +206,7 @@ class TestLogisticGradients:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(obj.d)
         idx = np.array([0, 2, 2, 5])  # with replacement
-        loop = np.mean([obj.component_grad(0, int(j), x) for j in idx], axis=0)
+        loop = np.mean([batch_grad_mean(obj, 0, [j], x) for j in idx], axis=0)
         np.testing.assert_allclose(batch_grad_mean(obj, 0, idx, x), loop, rtol=1e-12)
 
     def test_grad_rows_shape_and_values(self):
@@ -221,8 +230,9 @@ class TestSparseDenseParity:
         assert sparse_obj.smoothness == dense.smoothness
         assert local_value(sparse_obj, 0, x) == local_value(dense, 0, x)
         np.testing.assert_array_equal(sparse_obj.grad_rows(rows), dense.grad_rows(rows))
+        assert component_value(sparse_obj, 0, 2, x) == component_value(dense, 0, 2, x)
         np.testing.assert_array_equal(
-            sparse_obj.component_grad(0, 2, x), dense.component_grad(0, 2, x)
+            batch_grad_mean(sparse_obj, 0, [2], x), batch_grad_mean(dense, 0, [2], x)
         )
         for got, want in zip(sparse_obj.global_value_and_grad(x), dense.global_value_and_grad(x)):
             np.testing.assert_array_equal(got, want)
@@ -265,20 +275,20 @@ class TestSmoothness:
         assert obj.smoothness == pytest.approx(1.0, rel=1e-14)  # ||a||^2 / 4
 
     def test_average_smoothness_inequality_monte_carlo(self):
+        # Step c of ``every`` samples component c on each agent, so row i of
+        # its batch_diff is grad f_ic(x[i]) - grad f_ic(x2[i]).
         obj = tiny_logistic(lambda_reg=1e-3, m=3, n=12, d=4, seed=10)
         lsq = obj.smoothness**2
+        every = obj.gather(np.repeat(np.arange(obj.n)[:, None, None], obj.m, axis=1))
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            i = int(rng.integers(obj.m))
-            x = 2.0 * rng.standard_normal(obj.d)
-            x2 = x + rng.standard_normal(obj.d)
+            x = 2.0 * rng.standard_normal((obj.m, obj.d))
+            x2 = x + rng.standard_normal((obj.m, obj.d))
             mean_sq = np.mean(
-                [
-                    np.sum((obj.component_grad(i, j, x) - obj.component_grad(i, j, x2)) ** 2)
-                    for j in range(obj.n)
-                ]
+                [np.sum(obj.batch_diff(every, c, x, x2) ** 2, axis=1) for c in range(obj.n)],
+                axis=0,
             )
-            assert mean_sq <= lsq * np.sum((x - x2) ** 2) * (1.0 + 1e-12)
+            assert np.all(mean_sq <= lsq * np.sum((x - x2) ** 2, axis=1) * (1.0 + 1e-12))
 
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
@@ -295,7 +305,8 @@ class TestQuadratic:
         a = np.ones((2, 3, 1, 1))
         c = np.zeros((2, 3, 1))
         obj = QuadraticObjective(a, c)
-        assert obj.component_grad(0, 0, np.array([1.7]))[0] == pytest.approx(1.7)
+        assert obj.global_value(np.array([1.7])) == pytest.approx(1.7**2 / 2.0, rel=1e-14)
+        np.testing.assert_allclose(obj.global_grad(np.array([1.7])), [1.7], rtol=1e-14)
         np.testing.assert_allclose(obj.global_grad(np.array([0.5])), [0.5], rtol=1e-14)
         np.testing.assert_allclose(obj.solution(), [0.0], atol=1e-14)
 
@@ -303,12 +314,7 @@ class TestQuadratic:
         obj = make_quadratic(2, 5, 4, seed=3)
         rng = np.random.default_rng(12)
         for _ in range(25):
-            i = int(rng.integers(obj.m))
-            j = int(rng.integers(obj.n))
-            x = rng.standard_normal(obj.d)
-            fd = central_diff_grad(lambda y: obj.component_value(i, j, y), x)
-            g = obj.component_grad(i, j, x)
-            assert np.linalg.norm(g - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
+            assert_grads_match_fd(obj, rng.standard_normal(obj.d), rel=1e-6)
 
     def test_gradient_vanishes_at_normal_equation_solution(self):
         obj = make_quadratic(3, 8, 6, seed=4)
@@ -325,7 +331,7 @@ class TestQuadratic:
         obj = make_quadratic(2, 6, 3, seed=6)
         x = np.array([0.2, -0.4, 1.0])
         idx = np.array([5, 0, 0])
-        loop = np.mean([obj.component_grad(1, int(j), x) for j in idx], axis=0)
+        loop = np.mean([batch_grad_mean(obj, 1, [j], x) for j in idx], axis=0)
         np.testing.assert_allclose(batch_grad_mean(obj, 1, idx, x), loop, rtol=1e-12)
 
     def test_grad_rows_is_the_local_grad_loop(self):
@@ -400,6 +406,19 @@ class TestSyntheticLogistic:
         obj = make_synthetic_logistic(3, 10, 4, 0.0, seed=22)
         for lab in obj.labels:
             assert np.all(np.abs(lab) == 1.0)
+
+    @pytest.mark.parametrize("flip_fraction", [-0.1, 1.5, np.nan])
+    def test_flip_fraction_outside_unit_interval_rejected(self, flip_fraction):
+        with pytest.raises(ValueError, match=r"flip_fraction must be in \[0, 1\]"):
+            make_synthetic_logistic(2, 50, 3, 1e-3, seed=23, flip_fraction=flip_fraction)
+
+    @pytest.mark.parametrize("flip_fraction", [0.0, 1.0])
+    def test_flip_fraction_endpoints_flip_none_or_all(self, flip_fraction):
+        kept = make_synthetic_logistic(2, 50, 3, 1e-3, seed=23, flip_fraction=0.0)
+        obj = make_synthetic_logistic(2, 50, 3, 1e-3, seed=23, flip_fraction=flip_fraction)
+        sign = -1.0 if flip_fraction == 1.0 else 1.0
+        for lab, want in zip(obj.labels, kept.labels):
+            np.testing.assert_array_equal(lab, sign * want)
 
 
 def one_step_diff(obj, idx, x_new, x_old):
@@ -649,7 +668,7 @@ class TestStackedLayout:
         rows = obj.grad_rows(x)
         for i in range(m):
             np.testing.assert_array_equal(rows[i], local_grad(obj, i, x[i]))
-            mean = np.mean([obj.component_grad(i, j, x[i]) for j in range(n)], axis=0)
+            mean = np.mean([batch_grad_mean(obj, i, [j], x[i]) for j in range(n)], axis=0)
             assert np.linalg.norm(rows[i] - mean) <= 1e-12 * max(1.0, np.linalg.norm(mean))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
@@ -660,6 +679,13 @@ class TestStackedLayout:
         assert obj.global_value(x) == value
         assert value == pytest.approx(np.mean([local_value(obj, i, x) for i in range(obj.m)]), rel=1e-12)
         assert_rel_close(grad, np.mean([local_grad(obj, i, x) for i in range(obj.m)], axis=0))
+
+
+def test_the_objective_contract_is_what_the_program_calls():
+    # The optimizer and telemetry call these; no single-component oracle.
+    assert FiniteSumObjective.__abstractmethods__ == {
+        "grad_rows", "batch_diff", "global_value_and_grad", "smoothness", "value_lower_bound",
+    }
 
 
 class TestNonFiniteInput:
