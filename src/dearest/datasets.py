@@ -4,8 +4,10 @@ Each line of a LIBSVM file is ``label idx:val idx:val ...`` with 1-based,
 strictly increasing feature indices and finite values.  Labels must be one
 of {0, 1, -1, +1} and are normalized to {-1, +1} ({0, 1} files map 0 to -1).
 A parsed file is one CSR matrix with a row per sample, because dimensions
-can run to tens of thousands; ``shard_matrices`` gathers each agent's rows
-from it.
+can run to tens of thousands.  ``normalize_rows`` scales its rows to unit
+norm; ``shard_matrices`` copies out each agent's rows, and
+``LogisticNCObjective.from_rows`` gathers them straight into its stacked
+matrix.
 
 ``parse_libsvm`` has a fast path and an error path.  The fast path reads the
 file's bytes in blocks of about 256 KiB, each ending at a line end.  Per
@@ -58,6 +60,7 @@ __all__ = [
     "parse_libsvm",
     "write_libsvm",
     "partition",
+    "normalize_rows",
     "shard_matrices",
 ]
 
@@ -215,7 +218,9 @@ def _parse_blocks(raw: bytes, d_override: int | None) -> SampleSet | None:
     Blocks hold whole lines.  The output arrays are sized up front from the
     file's colon count, so the parsed features are never held twice.
     """
-    nnz = raw.count(b":")
+    # Counted over block-sized views, so that no temporary is file-sized.
+    a = np.frombuffer(raw, dtype=np.uint8)
+    nnz = sum(_count_colons(a[k:k + _BLOCK_BYTES]) for k in range(0, len(a), _BLOCK_BYTES))
     # Accepted indices are below 2**31 - 1, so int32 holds them.
     indices = np.empty(nnz, dtype=np.int32)
     values = np.empty(nnz, dtype=np.float64)
@@ -244,6 +249,10 @@ def _parse_blocks(raw: bytes, d_override: int | None) -> SampleSet | None:
     return _sample_set(values, indices, indptr, np.concatenate(labels), d)
 
 
+def _count_colons(a: np.ndarray) -> int:
+    return int(np.count_nonzero(a == ord(":")))
+
+
 def _parse_block(block: bytes) -> tuple[np.ndarray, ...] | None:
     """Labels (+-1), features per row, indices and values of whole lines.
 
@@ -255,7 +264,7 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, ...] | None:
     if len(block) > 2**31 - 1 or block.translate(None, _FAST_BYTES):
         return None
     a = np.frombuffer(block, dtype=np.uint8)
-    layout = _field_layout(a, block.count(b":"))
+    layout = _field_layout(a, _count_colons(a))
     if layout is None:
         return None
     starts, ends, is_value, label_fields, row_nnz = layout
@@ -421,6 +430,23 @@ def partition(samples: SampleSet, m: int, seed: int) -> Partition:
     return Partition(shards=shards, seed=int(seed), dropped=int(n_total - m * n))
 
 
+def normalize_rows(samples: SampleSet) -> SampleSet:
+    """The samples with each row rescaled to unit Euclidean norm.
+
+    Zero rows are left untouched.  The scaling is per row, so it does not
+    depend on how the rows are later split across agents.
+    """
+    features = samples.features
+    norms = np.sqrt(features.multiply(features).sum(axis=1).A1)
+    norms[norms == 0.0] = 1.0
+    features = sp.csr_matrix(
+        (features.data / np.repeat(norms, np.diff(features.indptr)),
+         features.indices, features.indptr),
+        shape=features.shape,
+    )
+    return SampleSet(features=features, labels=samples.labels)
+
+
 def shard_matrices(
     samples: SampleSet,
     part: Partition,
@@ -428,17 +454,10 @@ def shard_matrices(
 ) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
     """Assemble per-agent CSR feature matrices and label vectors.
 
-    ``normalize`` rescales each sample to unit Euclidean norm (zero rows are
-    left untouched); default is the raw file values.
+    ``normalize`` applies ``normalize_rows`` first; default is the raw file
+    values.
     """
-    features = samples.features
     if normalize:
-        norms = np.sqrt(features.multiply(features).sum(axis=1).A1)
-        norms[norms == 0.0] = 1.0
-        features = sp.csr_matrix(
-            (features.data / np.repeat(norms, np.diff(features.indptr)),
-             features.indices, features.indptr),
-            shape=features.shape,
-        )
-    return ([features[shard] for shard in part.shards],
+        samples = normalize_rows(samples)
+    return ([samples.features[shard] for shard in part.shards],
             [samples.labels[shard] for shard in part.shards])

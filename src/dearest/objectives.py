@@ -15,12 +15,14 @@ Two concrete instances:
 * ``LogisticNCObjective`` -- binary logistic loss with the bounded nonconvex
   regularizer lambda * sum_k x_k^2 / (1 + x_k^2).  The per-agent features,
   dense or sparse, are stored once as one block-diagonal (m*n, m*d) CSR
-  matrix: a full pass is one sparse product each way.  Cheap steps call the
-  kernels under scipy's row indexing and ``@`` directly, with no matrix
-  object per chunk or step: ``csr_row_index`` copies a chunk's rows into CSR
-  arrays, and a step makes two ``csr_matvec`` calls, into one scratch buffer
-  that the objective reuses, and one ``csc_matvec``.
-  These are private ``scipy.sparse._sparsetools`` names, imported at load so
+  matrix, which ``from_rows`` gathers straight from the rows of one CSR
+  matrix.  A full pass is one sparse product each way, with the margins,
+  sigmoid and coefficients computed in place in one array.  Cheap steps
+  call the kernels under scipy's row indexing and ``@`` directly, with no
+  matrix object per chunk or step: ``csr_row_index`` copies a chunk's rows
+  into CSR arrays, and a step makes two ``csr_matvec`` calls, into one
+  scratch buffer that the objective reuses, and one ``csc_matvec``.  These
+  are private ``scipy.sparse._sparsetools`` names, imported at load so
   that a scipy without them fails at import.  The sigmoid is numpy's tanh,
   0.5 + 0.5 * tanh(t / 2), which cannot overflow.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
@@ -134,9 +136,30 @@ def _sigmoid(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.add(0.5, out, out=out)
 
 
-def _stable_logistic_loss(z: np.ndarray) -> np.ndarray:
-    # log(1 + exp(-z)) without overflow: max(-z, 0) + log1p(exp(-|z|))
-    return np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _stable_logistic_loss(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # log(1 + exp(-z)) without overflow: max(-z, 0) + log1p(exp(-|z|)), one
+    # operation at a time, with one temporary besides ``out``, which may be
+    # z itself.
+    head = np.negative(z)
+    np.maximum(head, 0.0, out=head)
+    tail = np.abs(z, out=out)
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    return np.add(head, tail, out=tail)
+
+
+def _copy_rows(x: sp.csr_matrix, row_nnz: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The CSR arrays (indptr, indices, data) of rows ``rows`` of x, in order,
+    # from the kernel under scipy's row indexing, which does not bounds-check
+    # them.  Fancy indexing is fastest with intp rows; the kernel takes x's
+    # index type.
+    indptr = np.zeros(rows.size + 1, dtype=x.indptr.dtype)
+    np.cumsum(row_nnz[rows], out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=x.indices.dtype), np.empty(indptr[-1])
+    csr_row_index(rows.size, rows.astype(x.indices.dtype, copy=False), x.indptr, x.indices,
+                  x.data, indices, data)
+    return indptr, indices, data
 
 
 class LogisticNCObjective(FiniteSumObjective):
@@ -150,9 +173,10 @@ class LogisticNCObjective(FiniteSumObjective):
     The shards are stored once, at construction, as one block-diagonal CSR
     matrix of shape (m*n, m*d): agent i's rows start at i*n and its columns
     at i*d, so ``x.ravel()`` of stacked iterates meets each agent's rows with
-    its own row of x.  ``labels`` are views of one label vector; ``features``
-    builds per-agent (n, d) CSR copies on each access.  Evaluation is
-    overflow-safe.  ``batch_diff`` reuses the regularizer gradient of its last
+    its own row of x.  ``from_rows`` builds the same object from row indices
+    into one CSR matrix, with no per-agent copies.  ``labels`` are views of
+    one label vector; ``features`` builds per-agent (n, d) CSR copies on each
+    access.  Evaluation is overflow-safe.  ``batch_diff`` reuses the regularizer gradient of its last
     x_new when that array comes back as x_old: do not change it in place.
     """
 
@@ -164,25 +188,71 @@ class LogisticNCObjective(FiniteSumObjective):
     ) -> None:
         if len(features) == 0 or len(features) != len(labels):
             raise ValueError("need one feature matrix and one label vector per agent")
-        if not (math.isfinite(lambda_reg) and lambda_reg >= 0.0):
-            raise ValueError(f"regularization weight must be finite and >= 0, got {lambda_reg}")
         feats = [f if sp.issparse(f) else sp.csr_matrix(np.asarray(f, dtype=float)) for f in features]
         labs = [np.asarray(lab, dtype=float).ravel() for lab in labels]
-        self.m = len(feats)
-        self.n, self.d = feats[0].shape
-        self.lambda_reg = float(lambda_reg)
+        n, d = feats[0].shape
         for i, (f, lab) in enumerate(zip(feats, labs)):
-            if f.shape != (self.n, self.d):
-                raise ValueError(f"agent {i} features have shape {f.shape}, expected {(self.n, self.d)}")
-            if lab.shape != (self.n,):
-                raise ValueError(f"agent {i} has {lab.shape[0]} labels for {self.n} samples")
+            if f.shape != (n, d):
+                raise ValueError(f"agent {i} features have shape {f.shape}, expected {(n, d)}")
+            if lab.shape != (n,):
+                raise ValueError(f"agent {i} has {lab.shape[0]} labels for {n} samples")
+        self._store(sp.vstack(feats, format="csr", dtype=float), np.concatenate(labs),
+                    len(feats), lambda_reg)
+
+    @classmethod
+    def from_rows(
+        cls,
+        features: sp.spmatrix,
+        labels: np.ndarray,
+        shards: Sequence[np.ndarray],
+        lambda_reg: float,
+    ) -> LogisticNCObjective:
+        """Agent i holds rows ``shards[i]`` of the CSR matrix ``features`` and their labels.
+
+        Bitwise the objective that the list constructor builds from the
+        per-agent matrices ``features[shards[i]]``, without them: one
+        ``csr_row_index`` call copies all m*n rows, in shard order, straight
+        into the stacked arrays.  The kernel does not bounds-check, so the
+        shard lengths and row indices are checked first.
+        """
+        features = sp.csr_matrix(features, dtype=float)
+        labels = np.asarray(labels, dtype=float).ravel()
+        n_rows, d = features.shape
+        if len(shards) == 0:
+            raise ValueError("need at least one shard")
+        if labels.shape != (n_rows,):
+            raise ValueError(f"{labels.size} labels for {n_rows} rows")
+        n = len(shards[0])
+        if any(len(s) != n for s in shards):
+            raise ValueError(f"shards must have equal lengths, got {sorted({len(s) for s in shards})}")
+        rows = np.concatenate([np.asarray(s) for s in shards])
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"row indices must be integers, got {rows.dtype}")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ValueError(f"row indices must lie in [0, {n_rows}), got {rows.min()}..{rows.max()}")
+        row_nnz = np.diff(features.indptr)
+        if row_nnz[rows].sum(dtype=np.int64) > np.iinfo(features.indices.dtype).max:
+            raise ValueError(f"the shards hold more nonzeros than {features.indices.dtype} can index")
+        indptr, indices, data = _copy_rows(features, row_nnz, rows)
+        obj = cls.__new__(cls)
+        obj._store(sp.csr_matrix((data, indices, indptr), shape=(rows.size, d)), labels[rows],
+                   len(shards), lambda_reg)
+        return obj
+
+    def _store(self, x: sp.csr_matrix, y: np.ndarray, m: int, lambda_reg: float) -> None:
+        # x holds the m agents' (n, d) shards one above the other and y their
+        # labels.  Checks them, then shifts agent i's columns by i*d in place.
+        if not (math.isfinite(lambda_reg) and lambda_reg >= 0.0):
+            raise ValueError(f"regularization weight must be finite and >= 0, got {lambda_reg}")
+        self.m = m
+        self.n, self.d = x.shape[0] // m, x.shape[1]
+        self.lambda_reg = float(lambda_reg)
         if self.m * self.d > np.iinfo(np.int32).max:
             raise ValueError(f"m*d = {self.m * self.d} columns exceed scipy's int32 index range")
-        x = sp.vstack(feats, format="csr", dtype=float)
         bad_rows = np.searchsorted(x.indptr, np.flatnonzero(~np.isfinite(x.data)), side="right") - 1
         if bad_rows.size:
             raise ValueError(f"agent {bad_rows[0] // self.n} features are not finite")
-        self._y = np.concatenate(labs)
+        self._y = y
         bad = np.flatnonzero(np.abs(self._y) != 1.0)
         if bad.size:
             raise ValueError(
@@ -205,21 +275,13 @@ class LogisticNCObjective(FiniteSumObjective):
         return [self._x[s:s + self.n, i * self.d:(i + 1) * self.d] for i, s in enumerate(self._starts)]
 
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
-        z = self._y * (self._x @ x.ravel())
-        coef = -(self._y * _sigmoid(-z)) / self.n
+        coef = self._coefficients(self._margins_at(x.ravel()), self.n)
         return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
     def gather(self, idx: np.ndarray) -> tuple:
         # Labels, (C, m*b), and the CSR arrays of the chunk's rows of the stacked matrix.
-        # Fancy indexing is fastest with intp rows; the kernel takes the
-        # matrix's index type.
-        x, rows = self._x, (idx + self._starts[:, None]).ravel()
-        indptr = np.zeros(rows.size + 1, dtype=x.indptr.dtype)
-        np.cumsum(self._row_nnz[rows], out=indptr[1:])
-        indices, data = np.empty(indptr[-1], dtype=x.indices.dtype), np.empty(indptr[-1])
-        csr_row_index(rows.size, rows.astype(x.indices.dtype, copy=False), x.indptr, x.indices,
-                      x.data, indices, data)
-        return self._y[rows].reshape(idx.shape[0], -1), indptr, indices, data
+        rows = (idx + self._starts[:, None]).ravel()
+        return self._y[rows].reshape(idx.shape[0], -1), *_copy_rows(self._x, self._row_nnz, rows)
 
     def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         # Step c's slice of indptr over the chunk's arrays: CSR margins into
@@ -252,16 +314,32 @@ class LogisticNCObjective(FiniteSumObjective):
         x = self._x
         return math.ceil(self.m * b * (8 + x.indptr.itemsize + 12 * x.nnz / x.shape[0]))
 
-    def _global_value_and_margins(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        z = self._y * (self._x @ np.tile(x, self.m))
-        return float(np.mean(_stable_logistic_loss(z))) + _regularizer_value(x, self.lambda_reg), z
+    # A full pass holds one array of m*n margins and computes in place in
+    # it: y * (X v), then the coefficients -(y * sigmoid(-z)) / count, one
+    # operation at a time.  Passes may run on two threads at once, so the
+    # array is not kept between calls.
+    def _margins_at(self, v: np.ndarray) -> np.ndarray:
+        z = self._x @ v
+        return np.multiply(self._y, z, out=z)
+
+    def _coefficients(self, z: np.ndarray, count: int) -> np.ndarray:
+        _sigmoid(np.negative(z, out=z), out=z)
+        np.multiply(self._y, z, out=z)
+        np.negative(z, out=z)
+        return np.divide(z, count, out=z)
+
+    def _value_from_margins(self, x: np.ndarray, z: np.ndarray, out: np.ndarray | None) -> float:
+        loss = float(np.mean(_stable_logistic_loss(z, out=out)))
+        return loss + _regularizer_value(x, self.lambda_reg)
 
     def global_value(self, x: np.ndarray) -> float:
-        return self._global_value_and_margins(x)[0]
+        z = self._margins_at(np.tile(x, self.m))
+        return self._value_from_margins(x, z, out=z)
 
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, z = self._global_value_and_margins(x)
-        coef = -(self._y * _sigmoid(-z)) / self._y.size
+        z = self._margins_at(np.tile(x, self.m))
+        value = self._value_from_margins(x, z, out=None)
+        coef = self._coefficients(z, self._y.size)
         lin = (self._xt @ coef).reshape(self.m, self.d).sum(axis=0)
         return value, lin + _regularizer_grad(x, self.lambda_reg)
 

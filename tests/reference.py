@@ -12,6 +12,9 @@ directly from the definitions as possible, so that the fast paths in
   ``batch_grad_mean(obj, i, [j], x)``;
 * ``global_grad`` -- the quadratic's global gradient from the residuals of
   all components, where ``QuadraticObjective`` uses its stored Gram sums;
+* ``stacked_global_value_and_grad`` -- the logistic global value and
+  gradient as expressions over the stacked matrix, each making a new array,
+  where the library computes in place in one array of margins;
 * ``BincountLogistic`` -- ``LogisticNCObjective`` with the numpy cheap-step
   kernel (index arithmetic and ``np.bincount``) that scipy's CSR products
   replaced;
@@ -93,6 +96,16 @@ def global_grad(obj, x):
     """Global gradient of a ``QuadraticObjective``: sum_ij A_ij^T (A_ij x - c_ij) / (m n)."""
     r = np.einsum("ijqd,d->ijq", obj.a, x) - obj.c
     return np.einsum("ijqd,ijq->d", obj.a, r) / (obj.m * obj.n)
+
+
+def stacked_global_value_and_grad(obj, x):
+    """``LogisticNCObjective.global_value_and_grad``, one new array per operation."""
+    z = obj._y * (obj._x @ np.tile(x, obj.m))
+    loss = np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    coef = -(obj._y * _sigmoid(-z)) / obj._y.size
+    lin = (obj._xt @ coef).reshape(obj.m, obj.d).sum(axis=0)
+    value = float(np.mean(loss)) + _regularizer_value(x, obj.lambda_reg)
+    return value, lin + _regularizer_grad(x, obj.lambda_reg)
 
 
 def batch_grad_mean(obj, i, indices, x):

@@ -2,11 +2,15 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dearest import cli
 from dearest.cli import SpecError, load_spec, main, run_experiment
+from dearest.datasets import parse_libsvm, partition, shard_matrices
+from dearest.objectives import LogisticNCObjective
 
 RING_QUAD_SPEC = """\
 # smoke experiment
@@ -185,6 +189,70 @@ class TestRunExperiment:
         assert run_experiment(spec) == 0
         row = (out / "summary.csv").read_text().splitlines()[1]
         assert row.split(",")[1] == "1628"  # 32561 // 20, one sample dropped
+
+
+def write_valued_libsvm(path, rows, d, nnz, seed):
+    """LIBSVM rows of ``nnz`` distinct features with real values, so that scaling matters."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(rows):
+        idx = np.sort(rng.choice(d, size=nnz, replace=False)) + 1
+        vals = rng.standard_normal(nnz)
+        label = "+1" if rng.random() < 0.5 else "-1"
+        lines.append(label + "".join(f" {i}:{float(v)!r}" for i, v in zip(idx, vals)))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def logistic_data_spec(tmp_path, data, out, dim, extra=""):
+    return load_spec(write_spec(
+        tmp_path,
+        "objective = logistic\ntopology = ring\nm = 4\nepsilon = 1e-3\n"
+        f"data = {data}\ndim = {dim}\nlambda = 1e-4\nt_max = 30\nseeds = 3,4\n"
+        f"telemetry_stride = 1\noutput_dir = {out}\n{extra}",
+        f"{out.name}.cfg",
+    ))
+
+
+class TestDataObjective:
+    @pytest.mark.parametrize("normalize", ["false", "true"])
+    def test_csvs_are_the_shard_matrices_flow(self, tmp_path, monkeypatch, normalize):
+        # Each seed's objective gathers its rows from the once-parsed (and
+        # once-scaled) file; the CSVs are byte for byte those of per-agent
+        # copies from shard_matrices fed to the list constructor.
+        data = write_valued_libsvm(tmp_path / "valued.libsvm", 203, 20, 5, seed=70)
+        new = logistic_data_spec(tmp_path, data, tmp_path / "new", 20, f"normalize = {normalize}\n")
+        assert run_experiment(new) == 0
+
+        def shard_matrices_flow(spec, seed, samples=None):
+            raw = parse_libsvm(spec.data, spec.dim)
+            part = partition(raw, spec.m, seed)
+            feats, labels = shard_matrices(raw, part, normalize=spec.normalize)
+            return LogisticNCObjective(feats, labels, spec.lambda_reg)
+
+        monkeypatch.setattr(cli, "build_objective", shard_matrices_flow)
+        old = logistic_data_spec(tmp_path, data, tmp_path / "old", 20, f"normalize = {normalize}\n")
+        assert run_experiment(old) == 0
+        for seed in (3, 4):
+            name = f"telemetry_{seed}.csv"
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+    def test_build_objective_peak_memory(self, tmp_path):
+        # One seed's objective is built with no per-agent copies of its rows:
+        # the peak stays below 1.6 times the stacked matrix it keeps (the
+        # copies took it to 2.4 times).
+        data = write_valued_libsvm(tmp_path / "valued.libsvm", 8000, 123, 14, seed=71)
+        spec = logistic_data_spec(tmp_path, data, tmp_path / "out", 123)
+        samples = cli.load_samples(spec)
+        tracemalloc.start()
+        try:
+            obj = cli.build_objective(spec, 3, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x = obj._x
+        assert x.nnz == 14 * 8000
+        assert peak < 1.6 * (x.data.nbytes + x.indices.nbytes + x.indptr.nbytes)
 
 
 class TestMain:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import dearest
 from dearest import objectives
+from dearest.datasets import Partition, SampleSet, normalize_rows, partition, shard_matrices
 from dearest.objectives import (
     FiniteSumObjective,
     LogisticNCObjective,
@@ -36,6 +37,7 @@ from reference import (
     local_grad,
     local_value,
     smoothness_bound,
+    stacked_global_value_and_grad,
 )
 
 
@@ -679,6 +681,140 @@ class TestStackedLayout:
         assert obj.global_value(x) == value
         assert value == pytest.approx(np.mean([local_value(obj, i, x) for i in range(obj.m)]), rel=1e-12)
         assert_rel_close(grad, np.mean([local_grad(obj, i, x) for i in range(obj.m)], axis=0))
+
+
+def file_like_samples(n_rows, d, seed):
+    """A parsed-file stand-in: CSR rows of varying length, every seventh one empty."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n_rows, d)) * (rng.random((n_rows, d)) < 0.4)
+    dense[::7] = 0.0
+    labels = np.where(rng.random(n_rows) < 0.5, 1.0, -1.0)
+    return SampleSet(features=sp.csr_matrix(dense), labels=labels)
+
+
+def assert_same_objective(obj, ref):
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(obj._x, name), getattr(ref._x, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert obj._x.shape == ref._x.shape
+    assert (obj.m, obj.n, obj.d) == (ref.m, ref.n, ref.d)
+    np.testing.assert_array_equal(obj._y, ref._y)
+    for got, want in zip(obj.labels, ref.labels, strict=True):
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, obj._y)
+    assert obj.smoothness == ref.smoothness
+
+
+class TestFromRows:
+    # from_rows gathers the stacked matrix straight from one CSR matrix; it
+    # must be bitwise the list constructor over shard_matrices' copies.
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bitwise_the_list_constructor(self, m, normalize):
+        samples = file_like_samples(31, 6, seed=60 + m)
+        part = partition(samples, m, seed=m)
+        ref = LogisticNCObjective(*shard_matrices(samples, part, normalize=normalize), 1e-3)
+        src = normalize_rows(samples) if normalize else samples
+        obj = LogisticNCObjective.from_rows(src.features, src.labels, part.shards, 1e-3)
+        assert part.dropped == 31 % m
+        assert np.any(np.diff(obj._x.indptr) == 0)
+        assert_same_objective(obj, ref)
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((m, obj.d))
+        np.testing.assert_array_equal(obj.grad_rows(x), ref.grad_rows(x))
+        value, grad = obj.global_value_and_grad(x[0])
+        ref_value, ref_grad = ref.global_value_and_grad(x[0])
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_repeated_and_unsorted_rows(self):
+        samples = file_like_samples(12, 5, seed=62)
+        shards = [np.array([3, 3, 0]), np.array([11, 2, 3])]
+        ref = LogisticNCObjective([samples.features[s] for s in shards],
+                                  [samples.labels[s] for s in shards], 0.0)
+        assert_same_objective(
+            LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 0.0), ref)
+
+    def test_non_finite_value_names_the_agent(self):
+        samples = file_like_samples(6, 3, seed=63)
+        f = samples.features
+        row = np.flatnonzero(np.diff(f.indptr))[-1]
+        f.data[f.indptr[row]] = np.nan
+        others = [r for r in range(6) if r != row]
+        shards = [np.array(others[:2]), np.array([others[2], row]), np.array(others[3:])]
+        for build in (
+            lambda: LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4),
+            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0, 0)), 1e-4),
+        ):
+            with pytest.raises(ValueError, match="agent 1 features are not finite"):
+                build()
+
+    def test_bad_label_names_the_agent(self):
+        samples = file_like_samples(6, 3, seed=64)
+        samples.labels[4] = 0.5
+        shards = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
+        for build in (
+            lambda: LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4),
+            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0, 0)), 1e-4),
+        ):
+            with pytest.raises(ValueError, match=r"agent 2 labels must be exactly \+1 or -1, got 0.5"):
+                build()
+
+    def test_column_range_guard(self):
+        features = sp.csr_matrix((2, 2**30))
+        with pytest.raises(ValueError, match=r"m\*d = 2147483648"):
+            LogisticNCObjective.from_rows(features, np.ones(2), [np.array([0]), np.array([1])], 1e-4)
+
+    @pytest.mark.parametrize("shards", [
+        [np.array([0, 1]), np.array([2])],
+        [np.array([0, -1]), np.array([2, 3])],
+        [np.array([0, 1]), np.array([2, 6])],
+        [np.array([0.0, 1.0]), np.array([2.0, 3.0])],
+    ])
+    def test_bad_shards_never_reach_the_kernel(self, shards, monkeypatch):
+        samples = file_like_samples(6, 3, seed=65)
+
+        def kernel(*args):
+            raise AssertionError("the row-copy kernel was called")
+
+        monkeypatch.setattr(objectives, "csr_row_index", kernel)
+        with pytest.raises(ValueError, match="shards must have equal lengths|row indices must"):
+            LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4)
+
+
+class TestFullPassMemory:
+    # A full pass computes in place in one array of m*n margins.  The
+    # out-of-place expressions held three such arrays at once in grad_rows
+    # and four in global_value_and_grad.
+    @staticmethod
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peaks(self):
+        obj = a9a_shaped_logistic(m=4, n=8140)
+        x = np.random.default_rng(66).standard_normal((obj.m, obj.d)) * 0.1
+        margins = 8 * obj.m * obj.n
+        assert self.peak(lambda: obj.grad_rows(x)) <= 1.1 * margins
+        assert self.peak(lambda: obj.global_value(x[0])) <= 2.1 * margins
+        assert self.peak(lambda: obj.global_value_and_grad(x[0])) <= 3.1 * margins
+
+    @pytest.mark.parametrize("kind", ["dense", "csr", "a9a"])
+    def test_bitwise_the_expressions(self, kind):
+        obj = a9a_shaped_logistic(m=3, n=50) if kind == "a9a" else fused_instances()[kind]
+        rng = np.random.default_rng(67)
+        for scale in (0.1, 1e3):
+            x = rng.standard_normal(obj.d) * scale
+            value, grad = obj.global_value_and_grad(x)
+            ref_value, ref_grad = stacked_global_value_and_grad(obj, x)
+            assert value == ref_value == obj.global_value(x)
+            np.testing.assert_array_equal(grad, ref_grad)
 
 
 def test_the_objective_contract_is_what_the_program_calls():
