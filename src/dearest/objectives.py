@@ -18,12 +18,11 @@ Two concrete instances:
   matrix, which ``from_rows`` gathers straight from the rows of one CSR
   matrix.  A full pass is one sparse product each way, with the margins,
   sigmoid and coefficients computed in place in one array.  Cheap steps
-  call the kernels under scipy's row indexing and ``@`` directly, with no
-  matrix object per chunk or step: ``csr_row_index`` copies a chunk's rows
-  into CSR arrays, and a step makes two ``csr_matvec`` calls, into one
-  scratch buffer that the objective reuses, and one ``csc_matvec``.  These
-  are private ``scipy.sparse._sparsetools`` names, imported at load so
-  that a scipy without them fails at import.  The sigmoid is numpy's tanh,
+  call scipy's sparse kernels directly, with no matrix object per chunk or
+  step: ``csr_row_index`` copies a chunk's rows, and a step makes two
+  ``csr_matvec`` calls into a reused scratch buffer and one ``csc_matvec``.
+  These private ``scipy.sparse._sparsetools`` names are imported at load,
+  so a scipy without them fails at import.  The sigmoid is numpy's tanh,
   0.5 + 0.5 * tanh(t / 2), which cannot overflow.
 * ``QuadraticObjective`` -- 0.5 * ||A_ij x - c_ij||^2 with a closed-form
   minimizer, used as an oracle in tests; gradients come from Gram sums.  A
@@ -84,7 +83,7 @@ class FiniteSumObjective(abc.ABC):
 
     def batch_nbytes(self, b: int) -> int:
         """About how many bytes ``gather`` holds per step at mini-batch size b."""
-        return 8 * self.m * b
+        return 4 * self.m * b  # int32 indices
 
     @abc.abstractmethod
     def batch_diff(self, batch: object, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
@@ -173,11 +172,11 @@ class LogisticNCObjective(FiniteSumObjective):
     The shards are stored once, at construction, as one block-diagonal CSR
     matrix of shape (m*n, m*d): agent i's rows start at i*n and its columns
     at i*d, so ``x.ravel()`` of stacked iterates meets each agent's rows with
-    its own row of x.  ``from_rows`` builds the same object from row indices
-    into one CSR matrix, with no per-agent copies.  ``labels`` are views of
-    one label vector; ``features`` builds per-agent (n, d) CSR copies on each
-    access.  Evaluation is overflow-safe.  ``batch_diff`` reuses the regularizer gradient of its last
-    x_new when that array comes back as x_old: do not change it in place.
+    its own row of x; ``from_rows`` gathers it from one CSR matrix.
+    ``labels`` are views of one label vector; ``features`` builds per-agent
+    (n, d) CSR copies on each access.  Evaluation is overflow-safe.
+    ``batch_diff`` reuses the regularizer gradient of its last x_new when
+    that array comes back as x_old: do not change it in place.
     """
 
     def __init__(
@@ -249,9 +248,9 @@ class LogisticNCObjective(FiniteSumObjective):
         self.lambda_reg = float(lambda_reg)
         if self.m * self.d > np.iinfo(np.int32).max:
             raise ValueError(f"m*d = {self.m * self.d} columns exceed scipy's int32 index range")
-        bad_rows = np.searchsorted(x.indptr, np.flatnonzero(~np.isfinite(x.data)), side="right") - 1
-        if bad_rows.size:
-            raise ValueError(f"agent {bad_rows[0] // self.n} features are not finite")
+        if not np.isfinite(x.data).all():
+            bad = np.searchsorted(x.indptr, np.argmin(np.isfinite(x.data)), side="right") - 1
+            raise ValueError(f"agent {bad // self.n} features are not finite")
         self._y = y
         bad = np.flatnonzero(np.abs(self._y) != 1.0)
         if bad.size:
@@ -346,16 +345,18 @@ class LogisticNCObjective(FiniteSumObjective):
     def _smoothness_bound(self) -> float:
         # Per-component Lipschitz constant: ||a||^2 / 4 from the logistic
         # term (sigmoid curvature peaks at 1/4) plus 2*lambda from the
-        # regularizer (|d^2/dx^2 of x^2/(1+x^2)| peaks at 2).  Squared one
-        # agent's rows at a time, so that no temporary is the size of the
-        # whole data.
-        x, n, starts, ones = self._x, self.n, self._starts, np.ones(self._x.shape[1])
+        # regularizer (|d^2/dx^2 of x^2/(1+x^2)| peaks at 2).  Squared in
+        # row slices of about 2**13 squares (64 KiB); the rest in place.
+        x, ones = self._x, np.ones(self._x.shape[1])
         row_sq = np.zeros(x.shape[0])
-        for s, lo, hi in zip(starts, x.indptr[starts], x.indptr[starts + n]):
-            csr_matvec(n, ones.size, x.indptr[s:s + n + 1] - lo, x.indices[lo:hi],
-                       x.data[lo:hi] ** 2, ones, row_sq[s:s + n])
-        ell = (row_sq / 4.0 + 2.0 * self.lambda_reg).reshape(self.m, self.n)
-        return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
+        rows = max(1, 2**13 * x.shape[0] // (x.nnz + 1))
+        for lo in range(0, x.shape[0], rows):
+            ptr, out = x.indptr[lo:lo + rows + 1], row_sq[lo:lo + rows]
+            csr_matvec(out.size, ones.size, ptr - ptr[0], x.indices[ptr[0]:ptr[-1]],
+                       x.data[ptr[0]:ptr[-1]] ** 2, ones, out)
+        ell = np.add(np.divide(row_sq, 4.0, out=row_sq), 2.0 * self.lambda_reg, out=row_sq)
+        ell *= ell
+        return float(np.max(np.sqrt(np.mean(ell.reshape(self.m, self.n), axis=1))))
 
     @property
     def smoothness(self) -> float:

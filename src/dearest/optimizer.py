@@ -27,11 +27,14 @@ numbers ahead: all t_max flags in one call, then per draw block one
 ``integers`` call per agent, in agent order, for the indices of all the
 block's cheap steps.  A block is a whole number of chunks, and each chunk of
 C cheap steps is one ``gather`` of its rows, which each step reads in place.
-Both sizes come from the byte budget ``_CHUNK_BYTES``: C from the gathered
-rows, the block from its (steps, m, b) indices.  The last block and chunk
-hold the steps left.  A generator's draws do not depend on how they are
-split into calls, so every stream ends where a loop of ``step`` leaves it:
-the run is bitwise that loop.
+Both sizes come from the byte budget ``_CHUNK_BYTES``, 512 KiB: C from the
+gathered rows, the block from its (steps, m, b) int32 indices, which hold at
+most a quarter of it, so that a few dozen cheap steps fill a block.  What a
+run holds beside the data is then a constant, whatever t_max.  The last block
+and chunk hold the steps left.  A generator's draws do not depend on how
+they are split into calls, and for n < 2**31 an int32 draw gives the values
+of an int64 one and leaves the stream in the same state, so every stream
+ends where a loop of ``step`` leaves it: the run is bitwise that loop.
 
 Output rule: the returned point is one iterate row drawn uniformly over all
 (t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``
@@ -68,9 +71,9 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# About how many bytes one gathered chunk of cheap steps may hold, and at
-# most how many a draw block's indices hold (at least one chunk's).
-_CHUNK_BYTES = 2**21
+# About how many bytes one gathered chunk of cheap steps may hold; a draw
+# block's indices hold at most a quarter of it (at least one chunk's).
+_CHUNK_BYTES = 2**19
 
 
 class ConfigError(ValueError):
@@ -294,8 +297,8 @@ def init(
 
 
 def _draw(rngs: tuple[np.random.Generator, ...], n: int, b: int, steps: int) -> np.ndarray:
-    """The next ``steps`` cheap steps' (steps, m, b) indices, one draw per agent stream."""
-    return np.stack([rng.integers(0, n, size=(steps, b)) for rng in rngs], 1)
+    """The next ``steps`` cheap steps' (steps, m, b) int32 indices, one draw per agent stream."""
+    return np.stack([rng.integers(0, n, size=(steps, b), dtype=np.int32) for rng in rngs], 1)
 
 
 def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray, batch: object,
@@ -310,8 +313,8 @@ def _cheap_batches(rngs: tuple[np.random.Generator, ...], obj: FiniteSumObjectiv
                    count: int) -> Iterator[tuple[object, int]]:
     """(batch, c) for each of ``count`` cheap steps, drawn by blocks and gathered by chunks."""
     chunk = max(1, _CHUNK_BYTES // obj.batch_nbytes(b))
-    index_bytes = chunk * obj.m * b * np.dtype(np.int64).itemsize
-    block = chunk * max(1, _CHUNK_BYTES // index_bytes)
+    index_bytes = chunk * obj.m * b * np.dtype(np.int32).itemsize
+    block = chunk * max(1, _CHUNK_BYTES // 4 // index_bytes)
     for start in range(0, count, block):
         idx = _draw(rngs, obj.n, b, min(block, count - start))
         for lo in range(0, len(idx), chunk):

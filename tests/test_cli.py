@@ -238,9 +238,10 @@ class TestDataObjective:
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
     def test_build_objective_peak_memory(self, tmp_path):
-        # One seed's objective is built with no per-agent copies of its rows:
-        # the peak stays below 1.6 times the stacked matrix it keeps (the
-        # copies took it to 2.4 times).
+        # One seed's objective is built with no per-agent copies of its rows
+        # and no temporary the size of its data: the peak stays below 1.35
+        # times the stacked matrix it keeps (1.29 measured; the copies took it
+        # to 2.4 times, squaring a whole agent's values to 1.41).
         data = write_valued_libsvm(tmp_path / "valued.libsvm", 8000, 123, 14, seed=71)
         spec = logistic_data_spec(tmp_path, data, tmp_path / "out", 123)
         samples = cli.load_samples(spec)
@@ -252,7 +253,7 @@ class TestDataObjective:
             tracemalloc.stop()
         x = obj._x
         assert x.nnz == 14 * 8000
-        assert peak < 1.6 * (x.data.nbytes + x.indices.nbytes + x.indptr.nbytes)
+        assert peak < 1.35 * (x.data.nbytes + x.indices.nbytes + x.indptr.nbytes)
 
 
 class TestMain:

@@ -608,7 +608,8 @@ class TestBatchNbytes:
     def test_tracks_what_gather_holds(self, kind, steps):
         obj = a9a_shaped_logistic() if kind == "a9a" else fused_instances()[kind]
         b = 55 if kind == "a9a" else 4
-        idx = np.random.default_rng(38).integers(0, obj.n, size=(steps, obj.m, b))
+        # int32 indices, as the optimizer's _draw makes them
+        idx = np.random.default_rng(38).integers(0, obj.n, size=(steps, obj.m, b), dtype=np.int32)
         per_step = held_nbytes(obj.gather(idx)) / steps
         assert per_step == pytest.approx(obj.batch_nbytes(b), rel=0.01)
 

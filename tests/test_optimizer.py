@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,8 +604,8 @@ COUNTERS = ("ifo_count", "raw_grad_evals", "comm_rounds", "comm_rounds_all_calls
 
 
 def draw_block(obj, b, chunk):
-    """Steps per draw block: the most whole chunks whose int64 indices fit the budget."""
-    return chunk * max(1, optimizer._CHUNK_BYTES // (chunk * obj.m * b * 8))
+    """Steps per draw block: the most whole chunks whose int32 indices fit a quarter of the budget."""
+    return chunk * max(1, optimizer._CHUNK_BYTES // 4 // (chunk * obj.m * b * 4))
 
 
 def count_draws(monkeypatch, m):
@@ -741,6 +742,54 @@ class TestChunkedRun:
             np.testing.assert_array_equal(getattr(fs, name), getattr(state, name))
         assert res.telemetry == telemetry
         assert [rng.rng.bit_generator.state for rng in fs.agent_rngs] == stream_states(state)[1:]
+
+
+class TestIndexDraws:
+    """``run`` holds int32 index draws in blocks of a bounded size."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1628, 8140, 65537, 2**31 - 1])
+    @pytest.mark.parametrize("shape", [(1, 1), (188, 55), (3, 271)])
+    def test_int32_draws_are_the_int64_draws(self, n, shape):
+        # For n < 2**31 numpy draws the same values into int32 as into int64
+        # and leaves each generator in the same state, so streams stay bitwise.
+        narrow = tuple(np.random.default_rng(s) for s in (5, 6))
+        wide = tuple(np.random.default_rng(s) for s in (5, 6))
+        got = optimizer._draw(narrow, n, shape[1], shape[0])
+        want = np.stack([rng.integers(0, n, size=shape) for rng in wide], 1)
+        assert got.dtype == np.int32 and want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert [r.bit_generator.state for r in narrow] == [r.bit_generator.state for r in wide]
+
+    def test_run_working_set_does_not_grow_with_t_max(self):
+        # cli-telemetry's shape: 4 agents, b = 271, rows of 14 of 123
+        # features.  A run of 40 steps already fills a draw block and a chunk,
+        # so a run of ten times the steps holds no more (one telemetry row
+        # per run).
+        m, n, d, nnz = 4, 500, 123, 14
+        rng = np.random.default_rng(61)
+        cols = np.sort(rng.random((m * n, d)).argsort(axis=1)[:, :nnz], axis=1)
+        feats = sp.csr_matrix((rng.standard_normal(cols.size), cols.ravel(),
+                               np.arange(0, cols.size + 1, nnz)), shape=(m * n, d))
+        labels = np.where(rng.random(m * n) < 0.5, 1.0, -1.0)
+        obj = LogisticNCObjective.from_rows(feats, labels, np.arange(m * n).reshape(m, n), 1e-3)
+        w = make_w(build_ring(m))
+        chunk = max(1, optimizer._CHUNK_BYTES // obj.batch_nbytes(271))
+        cfgs = {t_max: manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=271, p=0.03,
+                                     t_max=t_max, seed=62) for t_max in (40, 400)}
+        # The first run also makes what later runs reuse: the objective's step
+        # scratch and the gossip matrix's polynomials.
+        run(obj, w, cfgs[40], np.zeros(d))
+        peaks = {}
+        for t_max, cfg in cfgs.items():
+            assert cheap_steps(cfg) >= draw_block(obj, cfg.b, chunk)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(obj, w, cfg, np.zeros(d), telemetry_stride=t_max)
+                peaks[t_max] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[400] - peaks[40]) < 64 * 1024
 
 
 class TestAgainstReference:
