@@ -5,10 +5,9 @@ components and its local function is their average; the global function is
 the average of the local ones.  The optimizer calls component gradients (the
 costed oracle) only in stacked form, so an objective implements no single
 component: full local gradients, one row per agent (``grad_rows``), and the
-cheap-step paired difference of mini-batch means for all agents at once.  A
-chunk of C cheap steps shares one row gather: ``gather`` takes their
-(C, m, b) indices and ``batch_diff`` computes step c, bitwise the same for
-every C.  Exact global values and gradients exist for diagnostics.
+cheap-step paired difference of mini-batch means for all agents at once,
+from one step's (m, b) indices (``batch_diff``).  Exact global values and
+gradients exist for diagnostics.
 
 Two concrete instances:
 
@@ -18,9 +17,9 @@ Two concrete instances:
   matrix, which ``from_rows`` gathers straight from the rows of one CSR
   matrix.  A full pass is one sparse product each way, with the margins,
   sigmoid and coefficients computed in place in one array.  Cheap steps
-  call scipy's sparse kernels directly, with no matrix object per chunk or
-  step: ``csr_row_index`` copies a chunk's rows, and a step makes two
-  ``csr_matvec`` calls into a reused scratch buffer and one ``csc_matvec``.
+  call scipy's sparse kernels directly, with no matrix object: a step's
+  ``csr_row_index`` copies its rows, and two ``csr_matvec`` calls (into a
+  reused scratch buffer) and one ``csc_matvec`` read that copy.
   These private ``scipy.sparse._sparsetools`` names are imported at load,
   so a scipy without them fails at import.  The sigmoid is numpy's tanh,
   0.5 + 0.5 * tanh(t / 2), which cannot overflow.
@@ -44,7 +43,6 @@ from ._worker import concurrently
 
 # About how many bytes of A_ij blocks one agent block of a quadratic cheap
 # step gathers: small enough for its two products to read them from cache.
-# The optimizer's _CHUNK_BYTES bounds what a chunk of steps holds.
 _GATHER_BYTES = 2**18
 
 __all__ = [
@@ -60,8 +58,8 @@ class FiniteSumObjective(abc.ABC):
     """Average of m local functions, each an average of n components.
 
     Subclasses set ``m``, ``n``, ``d`` and implement what the optimizer and
-    telemetry call: the full local gradients of all agents, the gathered
-    paired mini-batch difference, the exact global value and gradient, the
+    telemetry call: the full local gradients of all agents, one cheap step's
+    paired mini-batch differences, the exact global value and gradient, the
     smoothness constant and a lower bound on the value.
     """
 
@@ -73,22 +71,11 @@ class FiniteSumObjective(abc.ABC):
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
         """Local gradients, (m, d): row i is agent i's local gradient at row i of x."""
 
-    def gather(self, idx: np.ndarray) -> object:
-        """One batch of what a (C, m, b) index array samples: C steps, m agents.
-
-        By default the indices themselves; ``LogisticNCObjective``'s is plain
-        arrays, the labels and the CSR arrays of the chunk's rows.
-        """
-        return idx
-
-    def batch_nbytes(self, b: int) -> int:
-        """About how many bytes ``gather`` holds per step at mini-batch size b."""
-        return 4 * self.m * b  # int32 indices
-
     @abc.abstractmethod
-    def batch_diff(self, batch: object, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        """Step c's paired differences, (m, d): row i is the mean, over idx[c, i]
-        with multiplicity, of grad f_ij(x_new[i]) - grad f_ij(x_old[i])."""
+    def batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        """One cheap step's paired differences, (m, d), from its (m, b) indices:
+        row i is the mean, over idx[i] with multiplicity, of grad f_ij(x_new[i])
+        - grad f_ij(x_old[i])."""
 
     @abc.abstractmethod
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -233,9 +220,11 @@ class LogisticNCObjective(FiniteSumObjective):
         if row_nnz[rows].sum(dtype=np.int64) > np.iinfo(features.indices.dtype).max:
             raise ValueError(f"the shards hold more nonzeros than {features.indices.dtype} can index")
         indptr, indices, data = _copy_rows(features, row_nnz, rows)
+        y = labels[rows]
+        del rows, row_nnz  # not held while _store runs
         obj = cls.__new__(cls)
-        obj._store(sp.csr_matrix((data, indices, indptr), shape=(rows.size, d)), labels[rows],
-                   len(shards), lambda_reg)
+        obj._store(sp.csr_matrix((data, indices, indptr), shape=(y.size, d)), y, len(shards),
+                   lambda_reg)
         return obj
 
     def _store(self, x: sp.csr_matrix, y: np.ndarray, m: int, lambda_reg: float) -> None:
@@ -277,17 +266,13 @@ class LogisticNCObjective(FiniteSumObjective):
         coef = self._coefficients(self._margins_at(x.ravel()), self.n)
         return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
-    def gather(self, idx: np.ndarray) -> tuple:
-        # Labels, (C, m*b), and the CSR arrays of the chunk's rows of the stacked matrix.
-        rows = (idx + self._starts[:, None]).ravel()
-        return self._y[rows].reshape(idx.shape[0], -1), *_copy_rows(self._x, self._row_nnz, rows)
-
-    def batch_diff(self, batch: tuple, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        # Step c's slice of indptr over the chunk's arrays: CSR margins into
+    def batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        # One copy of the step's rows of the stacked matrix: CSR margins into
         # the reused scratch, the coefficients in place, CSC transpose.
-        lab, indptr, indices, data = batch[0][c], *batch[1:]
+        picked = (idx + self._starts[:, None]).ravel()
+        lab = self._y[picked]
+        ptr, indices, data = _copy_rows(self._x, self._row_nnz, picked)
         rows = lab.size
-        ptr = indptr[c * rows:(c + 1) * rows + 1]
         if self._margins.shape[1] != rows:
             self._margins = np.empty((2, rows))
         z = self._margins
@@ -307,11 +292,6 @@ class LogisticNCObjective(FiniteSumObjective):
         self._last_reg = (x_new, reg_new)
         lin += (reg_new - reg_old).ravel()
         return lin.reshape(x_new.shape)
-
-    def batch_nbytes(self, b: int) -> int:
-        # A label and an indptr entry per row, 12 bytes (value, column) per nonzero.
-        x = self._x
-        return math.ceil(self.m * b * (8 + x.indptr.itemsize + 12 * x.nnz / x.shape[0]))
 
     # A full pass holds one array of m*n margins and computes in place in
     # it: y * (X v), then the coefficients -(y * sigmoid(-z)) / count, one
@@ -404,13 +384,12 @@ class QuadraticObjective(FiniteSumObjective):
     def grad_rows(self, x: np.ndarray) -> np.ndarray:
         return ((self._gram @ x[:, :, None])[:, :, 0] - self._rhs) / self.n
 
-    def batch_diff(self, batch: np.ndarray, c: int, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        # The batch is the indices: a chunk of (q, d) blocks would outgrow
-        # the optimizer's chunk budget.  The residual difference is
-        # A_ij (x_new - x_old): c cancels.  Per block of agents, one gather,
-        # r = A_ij dx_i per sample, then r_i^T A_i,sub per agent.  dx is
-        # repeated per sample: matmul is slower when it broadcasts.
-        rows = batch[c] + self._starts[:, None]
+    def batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
+        # The residual difference is A_ij (x_new - x_old): c_ij cancels.  Per
+        # block of agents, one gather, r = A_ij dx_i per sample, then
+        # r_i^T A_i,sub per agent.  dx is repeated per sample: matmul is
+        # slower when it broadcasts.
+        rows = idx + self._starts[:, None]
         b, (q, d) = rows.shape[1], self.a.shape[2:]
         agents = max(1, _GATHER_BYTES // (8 * b * q * d))
         dx = np.repeat(x_new - x_old, b, axis=0)[:, :, None]

@@ -25,16 +25,14 @@ Randomness: ``step`` draws a refresh flag from the shared stream and, on a
 cheap step, b indices from each agent's stream.  ``run`` draws the same
 numbers ahead: all t_max flags in one call, then per draw block one
 ``integers`` call per agent, in agent order, for the indices of all the
-block's cheap steps.  A block is a whole number of chunks, and each chunk of
-C cheap steps is one ``gather`` of its rows, which each step reads in place.
-Both sizes come from the byte budget ``_CHUNK_BYTES``, 512 KiB: C from the
-gathered rows, the block from its (steps, m, b) int32 indices, which hold at
-most a quarter of it, so that a few dozen cheap steps fill a block.  What a
-run holds beside the data is then a constant, whatever t_max.  The last block
-and chunk hold the steps left.  A generator's draws do not depend on how
-they are split into calls, and for n < 2**31 an int32 draw gives the values
-of an int64 one and leaves the stream in the same state, so every stream
-ends where a loop of ``step`` leaves it: the run is bitwise that loop.
+block's cheap steps.  A block holds the most steps whose (m, b) int32
+indices fit ``_BLOCK_BYTES``, 160 KiB, so that a few dozen cheap steps fill
+it and what a run holds beside the data is a constant, whatever t_max; the
+last block holds the steps left.  Each cheap step hands its own indices to
+one ``batch_diff`` call.  A generator's draws do not depend on how they are
+split into calls, and for n < 2**31 an int32 draw gives the values of an
+int64 one and leaves the stream in the same state, so every stream ends
+where a loop of ``step`` leaves it: the run is bitwise that loop.
 
 Output rule: the returned point is one iterate row drawn uniformly over all
 (t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``
@@ -71,9 +69,8 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e12
-# About how many bytes one gathered chunk of cheap steps may hold; a draw
-# block's indices hold at most a quarter of it (at least one chunk's).
-_CHUNK_BYTES = 2**19
+# The most bytes a draw block's int32 indices may hold (at least one step's).
+_BLOCK_BYTES = 160 * 2**10
 
 
 class ConfigError(ValueError):
@@ -96,10 +93,10 @@ class RunConfig:
 
     ``eta`` is the stepsize, ``b`` the mini-batch size, ``p`` the refresh
     probability, ``big_k``/``hat_k`` the gossip round counts for refresh and
-    regular steps, ``k_in`` the initial round count, ``t_max`` the iteration
-    budget and ``epsilon`` the stationarity target.  ``shared_seed`` drives
-    the network-wide Bernoulli stream, ``agent_seeds`` the per-agent sampling
-    streams, and ``output_seed`` the final uniform output draw.
+    regular steps, ``k_in`` the initial round count and ``t_max`` the
+    iteration budget.  ``shared_seed`` drives the network-wide Bernoulli
+    stream, ``agent_seeds`` the per-agent sampling streams, and
+    ``output_seed`` the final uniform output draw.
     """
 
     eta: float
@@ -109,13 +106,12 @@ class RunConfig:
     hat_k: int
     k_in: int
     t_max: int
-    epsilon: float
     shared_seed: int
     agent_seeds: tuple[int, ...]
     output_seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_finite(eta=self.eta, epsilon=self.epsilon)
+        _require_finite(eta=self.eta)
         if not 0.0 < self.p <= 1.0:
             raise ConfigError(f"refresh probability must be in (0, 1], got {self.p}")
         if self.b < 1:
@@ -132,8 +128,6 @@ class RunConfig:
             raise ConfigError(f"initial round count must be >= 0, got {self.k_in}")
         if self.t_max < 0:
             raise ConfigError(f"iteration budget must be >= 0, got {self.t_max}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"stationarity target must be > 0, got {self.epsilon}")
         object.__setattr__(self, "agent_seeds", tuple(int(s) for s in self.agent_seeds))
 
 
@@ -201,7 +195,6 @@ def theorem_config(
         hat_k=hat_k,
         k_in=k_in,
         t_max=t_max,
-        epsilon=epsilon,
         shared_seed=shared_seed,
         agent_seeds=agent_seeds,
         output_seed=output_seed,
@@ -301,29 +294,20 @@ def _draw(rngs: tuple[np.random.Generator, ...], n: int, b: int, steps: int) -> 
     return np.stack([rng.integers(0, n, size=(steps, b), dtype=np.int32) for rng in rngs], 1)
 
 
-def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray, batch: object,
-              c: int) -> np.ndarray:
-    """Exact local gradients (``batch`` None), else step c of a gathered batch."""
-    if batch is None:
+def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray,
+              idx: np.ndarray | None) -> np.ndarray:
+    """Exact local gradients (``idx`` None), else the cheap step on (m, b) indices ``idx``."""
+    if idx is None:
         return obj.grad_rows(x_next)
-    return state.g + obj.batch_diff(batch, c, x_next, state.x)
+    return state.g + obj.batch_diff(idx, x_next, state.x)
 
 
-def _cheap_batches(rngs: tuple[np.random.Generator, ...], obj: FiniteSumObjective, b: int,
-                   count: int) -> Iterator[tuple[object, int]]:
-    """(batch, c) for each of ``count`` cheap steps, drawn by blocks and gathered by chunks."""
-    chunk = max(1, _CHUNK_BYTES // obj.batch_nbytes(b))
-    index_bytes = chunk * obj.m * b * np.dtype(np.int32).itemsize
-    block = chunk * max(1, _CHUNK_BYTES // 4 // index_bytes)
+def _cheap_batches(rngs: tuple[np.random.Generator, ...], n: int, b: int,
+                   count: int) -> Iterator[np.ndarray]:
+    """The (m, b) indices of each of ``count`` cheap steps, drawn by blocks."""
+    block = max(1, _BLOCK_BYTES // (len(rngs) * b * np.dtype(np.int32).itemsize))
     for start in range(0, count, block):
-        idx = _draw(rngs, obj.n, b, min(block, count - start))
-        for lo in range(0, len(idx), chunk):
-            batch = obj.gather(idx[lo:lo + chunk])
-            yield from ((batch, c) for c in range(min(chunk, len(idx) - lo)))
-            # Free the spent chunk before the next is gathered; callers hold
-            # no reference to it either.
-            del batch
-        del idx
+        yield from _draw(rngs, n, b, min(block, count - start))
 
 
 def estimator_update(
@@ -338,11 +322,11 @@ def estimator_update(
     y_t = 1: exact local gradients at the new iterates.  y_t = 0: each agent
     draws b sample indices uniformly with replacement from its private
     stream, in agent order, and adds the mean paired gradient difference to
-    its previous estimate; one gathered batch serves all agents.
+    its previous estimate; one ``batch_diff`` call serves all agents.
     Consumes the per-agent streams; counters are updated by ``step``.
     """
-    batch = None if y_t else obj.gather(_draw(state.agent_rngs, obj.n, cfg.b, 1))
-    return _estimate(state, obj, x_next, batch, 0)
+    idx = None if y_t else _draw(state.agent_rngs, obj.n, cfg.b, 1)[0]
+    return _estimate(state, obj, x_next, idx)
 
 
 def _advance(
@@ -350,14 +334,13 @@ def _advance(
     obj: FiniteSumObjective,
     w: GossipMatrix,
     cfg: RunConfig,
-    batch: object,
-    c: int,
+    idx: np.ndarray | None,
 ) -> AggregateState:
-    """A refresh step (``batch`` None) or a cheap one on step c of ``batch``."""
-    y_t = 1 if batch is None else 0
+    """A refresh step (``idx`` None) or a cheap one on (m, b) indices ``idx``."""
+    y_t = 1 if idx is None else 0
     k_t = cfg.big_k if y_t else cfg.hat_k
     x_next = fastmix(state.x - cfg.eta * state.s, w, k_t)
-    g_next = _estimate(state, obj, x_next, batch, c)
+    g_next = _estimate(state, obj, x_next, idx)
     s_next = fastmix(state.s + (g_next - state.g), w, k_t)
     # One test passes a healthy step: NaN fails a comparison, a max cannot overflow.
     if not (np.abs(x_next).max() <= DIVERGENCE_LIMIT and np.abs(s_next).max() < np.inf):
@@ -397,8 +380,8 @@ def step(
     non-finite or beyond 1e12.
     """
     y_t = 1 if state.shared_rng.random() < cfg.p else 0
-    batch = None if y_t else obj.gather(_draw(state.agent_rngs, obj.n, cfg.b, 1))
-    return _advance(state, obj, w, cfg, batch, 0)
+    idx = None if y_t else _draw(state.agent_rngs, obj.n, cfg.b, 1)[0]
+    return _advance(state, obj, w, cfg, idx)
 
 
 class IterateHistory:
@@ -477,12 +460,12 @@ def run(
     history = IterateHistory(obj.m, cfg.t_max, (cfg.output_seed, *output_seeds))
     state = init(obj, w, cfg, x0_bar)
     flags = state.shared_rng.random(size=cfg.t_max) < cfg.p
-    cheap = _cheap_batches(state.agent_rngs, obj, cfg.b, cfg.t_max - int(np.count_nonzero(flags)))
+    cheap = _cheap_batches(state.agent_rngs, obj.n, cfg.b, cfg.t_max - int(np.count_nonzero(flags)))
     telemetry: list[_metrics.TelemetryRecord] = []
     for t in range(cfg.t_max):
         history.record(t, state.x)
         before = state
-        state = _advance(state, obj, w, cfg, *((None, 0) if flags[t] else next(cheap)))
+        state = _advance(state, obj, w, cfg, None if flags[t] else next(cheap))
         if t % telemetry_stride == 0:
             telemetry.append(
                 _metrics.record(before, obj, cfg, y_t=state.y_last, k_t=state.k_last)

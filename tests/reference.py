@@ -45,8 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -125,68 +123,48 @@ def batch_grad_mean(obj, i, indices, x):
 class BincountLogistic(LogisticNCObjective):
     """``LogisticNCObjective`` whose cheap steps use numpy index arithmetic.
 
-    ``gather`` spells out every gathered nonzero: its value, its column in
-    the stacked layout and its row within the step.  ``batch_diff`` then
+    ``batch_diff`` spells out every nonzero of the step's rows: its value,
+    its column in the stacked layout and its row within the step.  It then
     forms the step's margins and its transposed product with three
     ``np.bincount`` calls.  The library's CSR and CSC products add the same
     terms in the same order, so the two are bitwise equal.
     """
 
-    def gather(self, idx):
-        steps, m, b = idx.shape
+    def batch_diff(self, idx, x_new, x_old):
+        m, d = x_new.shape
         rows = (idx + self._starts[:, None]).ravel()
-        lab = self._y[rows].reshape(steps, m * b)
+        lab = self._y[rows]
         x = self._x
         counts = x.indptr[rows + 1] - x.indptr[rows]
-        ends = np.cumsum(counts)
-        pos = np.repeat(x.indptr[rows] - ends + counts, counts)
+        pos = np.repeat(x.indptr[rows] - np.cumsum(counts) + counts, counts)
         pos += np.arange(pos.size)
-        row = np.repeat(np.arange(rows.size) % (m * b), counts)
-        flat = x.indices[pos].astype(np.intp, copy=False)
-        return lab, x.data[pos], flat, row, np.concatenate(([0], ends[m * b - 1::m * b]))
-
-    def batch_diff(self, batch, c, x_new, x_old):
-        m, d = x_new.shape
-        lab = batch[0][c]
-        b = lab.size // m
-        lo, hi = batch[4][c], batch[4][c + 1]
-        data, flat, row = batch[1][lo:hi], batch[2][lo:hi], batch[3][lo:hi]
-        z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=m * b)
-        z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=m * b)
-        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / b
+        row = np.repeat(np.arange(rows.size), counts)
+        data, flat = x.data[pos], x.indices[pos].astype(np.intp, copy=False)
+        z_new = lab * np.bincount(row, data * x_new.ravel()[flat], minlength=rows.size)
+        z_old = lab * np.bincount(row, data * x_old.ravel()[flat], minlength=rows.size)
+        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / idx.shape[1]
         lin = np.bincount(flat, data * coef[row], minlength=m * d)
         return lin.reshape(m, d) + (_regularizer_grad(x_new, self.lambda_reg)
                                     - _regularizer_grad(x_old, self.lambda_reg))
-
-    def batch_nbytes(self, b):
-        # A label per row and 24 bytes per nonzero.
-        return math.ceil(self.m * b * (8 + 24 * self._x.nnz / self._x.shape[0]))
 
 
 class ScipyOperatorLogistic(LogisticNCObjective):
     """``LogisticNCObjective`` whose cheap steps use scipy's matrix operators.
 
-    ``gather`` indexes the stacked CSR matrix by the chunk's rows;
-    ``batch_diff`` wraps step c's rows in a CSR matrix and its transpose in a
-    CSC matrix over the same arrays and multiplies with ``@``, and computes
-    both regularizer gradients every call.  Row indexing and ``@`` run the
-    same scipy kernels on the same arrays as the library, so the two are
-    bitwise equal.
+    ``batch_diff`` indexes the stacked CSR matrix by the step's rows, wraps
+    their arrays in a CSC matrix for the transpose and multiplies with
+    ``@``, and computes both regularizer gradients every call.  Row indexing
+    and ``@`` run the same scipy kernels on the same arrays as the library,
+    so the two are bitwise equal.
     """
 
-    def gather(self, idx):
-        rows = (idx + self._starts[:, None]).ravel()
-        return self._y[rows].reshape(idx.shape[0], -1), self._x[rows]
-
-    def batch_diff(self, batch, c, x_new, x_old):
+    def batch_diff(self, idx, x_new, x_old):
         m, d = x_new.shape
-        lab, chunk = batch[0][c], batch[1]
-        ptr = chunk.indptr[c * lab.size:(c + 1) * lab.size + 1]
-        arrays = (chunk.data[ptr[0]:ptr[-1]], chunk.indices[ptr[0]:ptr[-1]], ptr - ptr[0])
-        rows = sp.csr_matrix(arrays, shape=(lab.size, m * d))
-        z_new, z_old = lab * (rows @ x_new.ravel()), lab * (rows @ x_old.ravel())
-        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / (lab.size // m)
-        lin = sp.csc_matrix(arrays, shape=(m * d, lab.size)) @ coef
+        rows = (idx + self._starts[:, None]).ravel()
+        lab, sub = self._y[rows], self._x[rows]
+        z_new, z_old = lab * (sub @ x_new.ravel()), lab * (sub @ x_old.ravel())
+        coef = lab * (_sigmoid(-z_old) - _sigmoid(-z_new)) / idx.shape[1]
+        lin = sp.csc_matrix((sub.data, sub.indices, sub.indptr), shape=(m * d, lab.size)) @ coef
         return lin.reshape(m, d) + (_regularizer_grad(x_new, self.lambda_reg)
                                     - _regularizer_grad(x_old, self.lambda_reg))
 
@@ -200,8 +178,8 @@ class BatchedMatmulQuadratic(QuadraticObjective):
     agent block by agent block, so the two are bitwise equal.
     """
 
-    def batch_diff(self, batch, c, x_new, x_old):
-        asub = self.a[np.arange(self.m)[:, None], batch[c]]
+    def batch_diff(self, idx, x_new, x_old):
+        asub = self.a[np.arange(self.m)[:, None], idx]
         m, b, q, d = asub.shape
         r = asub @ (x_new - x_old)[:, None, :, None]
         return (r.reshape(m, 1, b * q) @ asub.reshape(m, b * q, d))[:, 0] / b

@@ -33,7 +33,7 @@ def make_w(m):
 
 
 def config(m, **kw):
-    defaults = dict(eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50, epsilon=1e-3)
+    defaults = dict(eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50)
     defaults.update(kw)
     return RunConfig(
         shared_seed=0, agent_seeds=tuple(range(m)), output_seed=0, **defaults
@@ -328,7 +328,7 @@ class TestConcurrentPasses:
                 comm_rounds=0, comm_rounds_all_calls=0, shared_rng=np.random.default_rng(0),
                 agent_rngs=tuple(np.random.default_rng(i) for i in range(3)))
             cfg = RunConfig(eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50,
-                            epsilon=1e-3, shared_seed=0, agent_seeds=(0, 1, 2), output_seed=0)
+                            shared_seed=0, agent_seeds=(0, 1, 2), output_seed=0)
             for _ in range(1000):
                 record(state, obj, cfg, y_t=0, k_t=0)
             print(before, after_import, threading.active_count())

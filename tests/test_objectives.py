@@ -131,8 +131,7 @@ class TestSigmoid:
             obj = dearest.make_synthetic_logistic(3, 8, 2, 1e-3, seed=0)
             w = dearest.gossip_from_laplacian(dearest.laplacian(dearest.build_ring(3)))
             cfg = dearest.RunConfig(eta=0.1, b=2, p=0.3, big_k=2, hat_k=2, k_in=2, t_max=20,
-                                    epsilon=1e-3, shared_seed=0, agent_seeds=(0, 1, 2),
-                                    output_seed=0)
+                                    shared_seed=0, agent_seeds=(0, 1, 2), output_seed=0)
             res = dearest.run(obj, w, cfg, np.zeros(2))
             assert len(res.telemetry) > 0
             print(sorted(name for name in sys.modules if name.startswith("scipy.special")))
@@ -240,10 +239,9 @@ class TestSparseDenseParity:
             np.testing.assert_array_equal(got, want)
         idx = rng.integers(0, 5, size=(3, 2, 4))
         x_old = rows + 0.1 * rng.standard_normal((2, 4))
-        sparse_batch, dense_batch = sparse_obj.gather(idx), dense.gather(idx)
-        for c in range(3):
-            np.testing.assert_array_equal(sparse_obj.batch_diff(sparse_batch, c, rows, x_old),
-                                          dense.batch_diff(dense_batch, c, rows, x_old))
+        for step_idx in idx:
+            np.testing.assert_array_equal(sparse_obj.batch_diff(step_idx, rows, x_old),
+                                          dense.batch_diff(step_idx, rows, x_old))
         np.testing.assert_array_equal(
             batch_grad_mean(sparse_obj, 0, idx[0, 0], x), batch_grad_mean(dense, 0, idx[0, 0], x)
         )
@@ -277,17 +275,17 @@ class TestSmoothness:
         assert obj.smoothness == pytest.approx(1.0, rel=1e-14)  # ||a||^2 / 4
 
     def test_average_smoothness_inequality_monte_carlo(self):
-        # Step c of ``every`` samples component c on each agent, so row i of
-        # its batch_diff is grad f_ic(x[i]) - grad f_ic(x2[i]).
+        # A step that samples component c on each agent: row i of its
+        # batch_diff is grad f_ic(x[i]) - grad f_ic(x2[i]).
         obj = tiny_logistic(lambda_reg=1e-3, m=3, n=12, d=4, seed=10)
         lsq = obj.smoothness**2
-        every = obj.gather(np.repeat(np.arange(obj.n)[:, None, None], obj.m, axis=1))
         rng = np.random.default_rng(11)
         for _ in range(1000):
             x = 2.0 * rng.standard_normal((obj.m, obj.d))
             x2 = x + rng.standard_normal((obj.m, obj.d))
             mean_sq = np.mean(
-                [np.sum(obj.batch_diff(every, c, x, x2) ** 2, axis=1) for c in range(obj.n)],
+                [np.sum(obj.batch_diff(np.full((obj.m, 1), c), x, x2) ** 2, axis=1)
+                 for c in range(obj.n)],
                 axis=0,
             )
             assert np.all(mean_sq <= lsq * np.sum((x - x2) ** 2, axis=1) * (1.0 + 1e-12))
@@ -423,11 +421,6 @@ class TestSyntheticLogistic:
             np.testing.assert_array_equal(lab, sign * want)
 
 
-def one_step_diff(obj, idx, x_new, x_old):
-    """``batch_diff`` of one cheap step, from an (m, b) index matrix."""
-    return obj.batch_diff(obj.gather(idx[None]), 0, x_new, x_old)
-
-
 def loop_paired_diff(obj, idx, x_new, x_old):
     """The per-agent reference: two ``batch_grad_mean`` calls per agent."""
     return np.stack([
@@ -472,7 +465,7 @@ class TestPairedBatchDiff:
         idx = np.array([[0, 2, 2, 8], [5, 5, 5, 5], [1, 3, 1, 0], [8, 7, 6, 8]])
         x_new = rng.standard_normal((obj.m, obj.d))
         x_old = rng.standard_normal((obj.m, obj.d))
-        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(obj.batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_single_sample_batch(self, kind):
@@ -481,7 +474,7 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, obj.n, size=(obj.m, 1))
         x_new = rng.standard_normal((obj.m, obj.d))
         x_old = rng.standard_normal((obj.m, obj.d))
-        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(obj.batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_single_agent(self, kind):
@@ -496,14 +489,14 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, obj.n, size=(1, 5))
         x_new = rng.standard_normal((1, obj.d))
         x_old = rng.standard_normal((1, obj.d))
-        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(obj.batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
     def test_equal_points_give_exact_zero(self, kind):
         obj = fused_instances()[kind]
         x = np.random.default_rng(36).standard_normal((obj.m, obj.d))
         idx = np.zeros((obj.m, 3), dtype=np.int64)
-        np.testing.assert_array_equal(one_step_diff(obj, idx, x, x.copy()), 0.0)
+        np.testing.assert_array_equal(obj.batch_diff(idx, x, x.copy()), 0.0)
 
     def test_a9a_shape(self):
         obj = a9a_shaped_logistic()
@@ -511,7 +504,7 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, obj.n, size=(obj.m, 55))
         x_old = 0.1 * rng.standard_normal((obj.m, obj.d))
         x_new = x_old + 0.01 * rng.standard_normal((obj.m, obj.d))
-        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(obj.batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -535,7 +528,7 @@ class TestPairedBatchDiff:
         idx = rng.integers(0, n, size=(m, b))
         x_new = rng.standard_normal((m, d))
         x_old = rng.standard_normal((m, d))
-        assert_rel_close(one_step_diff(obj, idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
+        assert_rel_close(obj.batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
 
 class TestQuadraticAgentBlocks:
@@ -544,7 +537,7 @@ class TestQuadraticAgentBlocks:
 
     @staticmethod
     def assert_bitwise(obj, idx, x, agents_per_block=None):
-        # Steps c = 0.. of one gathered chunk, from x[c] to x[c + 1].
+        # Steps c = 0.. on idx[c], from x[c] to x[c + 1].
         ref = BatchedMatmulQuadratic(obj.a, obj.c)
         steps, _, b = idx.shape
         q, d = obj.a.shape[2:]
@@ -552,11 +545,10 @@ class TestQuadraticAgentBlocks:
         if agents_per_block is not None:
             budget = agents_per_block * 8 * b * q * d
         with mock.patch.object(objectives, "_GATHER_BYTES", budget):
-            batch, ref_batch = obj.gather(idx), ref.gather(idx)
             for c in range(steps):
-                got = obj.batch_diff(batch, c, x[c + 1], x[c])
+                got = obj.batch_diff(idx[c], x[c + 1], x[c])
                 assert got.shape == (obj.m, obj.d)
-                assert got.tobytes() == ref.batch_diff(ref_batch, c, x[c + 1], x[c]).tobytes()
+                assert got.tobytes() == ref.batch_diff(idx[c], x[c + 1], x[c]).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -587,31 +579,6 @@ class TestQuadraticAgentBlocks:
         rng = np.random.default_rng(42)
         idx = rng.integers(0, obj.n, size=(3, m, 4))
         self.assert_bitwise(obj, idx, rng.standard_normal((4, m, obj.d)))
-
-
-def held_nbytes(batch):
-    """Bytes of the arrays a gathered batch holds: arrays, sparse matrices, tuples of them."""
-    if sp.issparse(batch):
-        return batch.data.nbytes + batch.indices.nbytes + batch.indptr.nbytes
-    if isinstance(batch, np.ndarray):
-        return batch.nbytes
-    return sum(held_nbytes(part) for part in batch)
-
-
-class TestBatchNbytes:
-    # The optimizer sizes its chunks by batch_nbytes, so it must track what
-    # gather holds per step.  Every instance here has the same number of
-    # nonzeros in each row, so the estimate is all but exact: the a9a shape
-    # holds 198,004 bytes per step at C = 1 against 198,000.
-    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic", "a9a"])
-    @pytest.mark.parametrize("steps", [1, 3])
-    def test_tracks_what_gather_holds(self, kind, steps):
-        obj = a9a_shaped_logistic() if kind == "a9a" else fused_instances()[kind]
-        b = 55 if kind == "a9a" else 4
-        # int32 indices, as the optimizer's _draw makes them
-        idx = np.random.default_rng(38).integers(0, obj.n, size=(steps, obj.m, b), dtype=np.int32)
-        per_step = held_nbytes(obj.gather(idx)) / steps
-        assert per_step == pytest.approx(obj.batch_nbytes(b), rel=0.01)
 
 
 class TestStackedLayout:
@@ -823,6 +790,9 @@ def test_the_objective_contract_is_what_the_program_calls():
     assert FiniteSumObjective.__abstractmethods__ == {
         "grad_rows", "batch_diff", "global_value_and_grad", "smoothness", "value_lower_bound",
     }
+    # A cheap step is one batch_diff call on its own indices: no gather step.
+    for name in ("gather", "batch_nbytes"):
+        assert not hasattr(FiniteSumObjective, name)
 
 
 class TestNonFiniteInput:

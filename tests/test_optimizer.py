@@ -55,12 +55,10 @@ graphs = st.one_of(
 )
 
 
-def manual_config(m, *, eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50,
-                  epsilon=1e-3, seed=0):
+def manual_config(m, *, eta=0.1, b=2, p=0.25, big_k=3, hat_k=2, k_in=2, t_max=50, seed=0):
     rng = np.random.default_rng(seed)
     return RunConfig(
         eta=eta, b=b, p=p, big_k=big_k, hat_k=hat_k, k_in=k_in, t_max=t_max,
-        epsilon=epsilon,
         shared_seed=int(rng.integers(2**63)),
         agent_seeds=tuple(int(v) for v in rng.integers(2**63, size=m)),
         output_seed=int(rng.integers(2**63)),
@@ -143,7 +141,7 @@ class TestTheoremConfig:
         # eta = 0 is a legal diagnostic configuration
         assert manual_config(2, eta=0.0).eta == 0.0
 
-    @pytest.mark.parametrize("field", ["eta", "epsilon"])
+    @pytest.mark.parametrize("field", ["eta"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_runconfig_rejects_non_finite(self, field, bad):
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
@@ -367,7 +365,7 @@ class TestDivergenceChecks:
         state = dataclasses.replace(init(obj, w, cfg, np.zeros(2)), t=7)
         mixed = iter([np.array(x_next, dtype=float), np.array(s_next, dtype=float)])
         monkeypatch.setattr(optimizer, "fastmix", lambda u, w, k: next(mixed))
-        return optimizer._advance(state, obj, w, cfg, None, 0)
+        return optimizer._advance(state, obj, w, cfg, None)
 
     @pytest.mark.parametrize("x_next, s_next, message", [
         ([[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], NON_FINITE),
@@ -603,9 +601,9 @@ def stream_states(state):
 COUNTERS = ("ifo_count", "raw_grad_evals", "comm_rounds", "comm_rounds_all_calls")
 
 
-def draw_block(obj, b, chunk):
-    """Steps per draw block: the most whole chunks whose int32 indices fit a quarter of the budget."""
-    return chunk * max(1, optimizer._CHUNK_BYTES // 4 // (chunk * obj.m * b * 4))
+def set_block(monkeypatch, m, b, steps):
+    """Size ``run``'s draw blocks to ``steps`` cheap steps of m agents' b int32 indices."""
+    monkeypatch.setattr(optimizer, "_BLOCK_BYTES", steps * m * b * 4)
 
 
 def count_draws(monkeypatch, m):
@@ -632,19 +630,19 @@ def count_draws(monkeypatch, m):
 
 
 class TestChunkedRun:
-    """``run`` draws cheap steps' indices by blocks and gathers them by chunks;
-    a loop of ``step`` does both one step at a time.  The two must agree
-    bitwise, whatever the chunk and the block."""
+    """``run`` draws its cheap steps' indices in chunks of steps, its draw
+    blocks; a loop of ``step`` draws them one step at a time.  The two must
+    agree bitwise, whatever the block."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("chunk", [1, 2, 3, None])
-    def test_run_is_bitwise_a_step_loop(self, kind, chunk, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, 3, None])
+    def test_run_is_bitwise_a_step_loop(self, kind, block, monkeypatch):
         obj = make_objective(kind, 4, 9, 3, seed=50)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=52)
-        if chunk is not None:
-            monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
-        # with C = 2 or 3 the last chunk is a short one
+        if block is not None:
+            set_block(monkeypatch, obj.m, cfg.b, block)
+        # with blocks of 2 or 3 steps the last block is a short one
         assert cheap_steps(cfg) % 2 and cheap_steps(cfg) % 3
         seeds = tuple(range(10))
         res = run(obj, w, cfg, np.zeros(3), output_seeds=seeds)
@@ -679,23 +677,22 @@ class TestChunkedRun:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
-        # A structural guard: the chunked loop calls each agent's integers()
-        # once per draw block and the objective's gather once per chunk, and
-        # each cheap step's products (two CSR, one CSC) read its chunk's
-        # indices and data in place: no step copies rows.
+        # A structural guard: run calls each agent's integers() once per draw
+        # block, a logistic cheap step copies its rows with one csr_row_index
+        # call, and the step's products (two CSR, one CSC) read that copy in
+        # place.
         obj = make_objective(kind, 4, 9, 3, seed=54)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=55)
-        chunk = 3
-        monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
-        block = draw_block(obj, cfg.b, chunk)
+        block = 3
+        set_block(monkeypatch, obj.m, cfg.b, block)
         calls = count_draws(monkeypatch, obj.m)
-        chunks, products = [], {"csr": [], "csc": []}
-        real_gather = obj.gather
+        copies, products = [], {"csr": [], "csc": []}
+        real_copy = objectives.csr_row_index
 
-        def recording_gather(idx):
-            chunks.append(real_gather(idx))
-            return chunks[-1]
+        def recording_copy(n_row, rows, indptr, indices, data, out_indices, out_data):
+            copies.append((out_indices, out_data))
+            return real_copy(n_row, rows, indptr, indices, data, out_indices, out_data)
 
         def recording(fmt, kernel):
             def call(n_row, n_col, indptr, indices, data, v, out):
@@ -703,36 +700,32 @@ class TestChunkedRun:
                 return kernel(n_row, n_col, indptr, indices, data, v, out)
             return call
 
-        monkeypatch.setattr(obj, "gather", recording_gather)
+        monkeypatch.setattr(objectives, "csr_row_index", recording_copy)
         monkeypatch.setattr(objectives, "csr_matvec", recording("csr", objectives.csr_matvec))
         monkeypatch.setattr(objectives, "csc_matvec", recording("csc", objectives.csc_matvec))
         run(obj, w, cfg, np.zeros(3))
         assert calls == [math.ceil(cheap_steps(cfg) / block)] * obj.m
-        assert cheap_steps(cfg) > chunk
-        assert len(chunks) == math.ceil(cheap_steps(cfg) / chunk)
+        assert cheap_steps(cfg) > block
         if kind != "quadratic":
+            assert len(copies) == cheap_steps(cfg)
             assert len(products["csr"]) == 2 * cheap_steps(cfg)
             assert len(products["csc"]) == cheap_steps(cfg)
             for per_step, fmt in ((2, "csr"), (1, "csc")):
                 for k, (indices, data) in enumerate(products[fmt]):
-                    _, _, chunk_indices, chunk_data = chunks[k // (per_step * chunk)]
-                    assert np.shares_memory(indices, chunk_indices)
-                    assert np.shares_memory(data, chunk_data)
+                    step_indices, step_data = copies[k // per_step]
+                    assert indices is step_indices and data is step_data
         else:
-            assert products == {"csr": [], "csc": []}
+            assert copies == [] and products == {"csr": [], "csc": []}
 
     @pytest.mark.parametrize("kind", ["dense", "csr"])
     def test_run_over_several_draw_blocks_is_a_step_loop(self, kind, monkeypatch):
-        # Chunks of 2 steps, blocks of several chunks, at least 3 blocks and a
-        # short last chunk.  (A quadratic chunk holds just its indices, so
-        # its blocks are single chunks.)
+        # Blocks of 6 steps, at least 3 of them and a short last one.
         obj = make_objective(kind, 4, 9, 3, seed=56)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=60, seed=57)
-        chunk = 2
-        monkeypatch.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
-        block = draw_block(obj, cfg.b, chunk)
-        assert block >= 3 * chunk and cheap_steps(cfg) > 2 * block and cheap_steps(cfg) % chunk
+        block = 6
+        set_block(monkeypatch, obj.m, cfg.b, block)
+        assert cheap_steps(cfg) > 2 * block and cheap_steps(cfg) % block
         calls = count_draws(monkeypatch, obj.m)
         res = run(obj, w, cfg, np.zeros(3))
         assert calls == [math.ceil(cheap_steps(cfg) / block)] * obj.m
@@ -760,11 +753,10 @@ class TestIndexDraws:
         np.testing.assert_array_equal(got, want)
         assert [r.bit_generator.state for r in narrow] == [r.bit_generator.state for r in wide]
 
-    def test_run_working_set_does_not_grow_with_t_max(self):
+    def test_run_working_set_does_not_grow_with_t_max(self, monkeypatch):
         # cli-telemetry's shape: 4 agents, b = 271, rows of 14 of 123
-        # features.  A run of 40 steps already fills a draw block and a chunk,
-        # so a run of ten times the steps holds no more (one telemetry row
-        # per run).
+        # features.  A run of 40 steps already fills a draw block, so a run of
+        # ten times the steps holds no more (one telemetry row per run).
         m, n, d, nnz = 4, 500, 123, 14
         rng = np.random.default_rng(61)
         cols = np.sort(rng.random((m * n, d)).argsort(axis=1)[:, :nnz], axis=1)
@@ -773,7 +765,14 @@ class TestIndexDraws:
         labels = np.where(rng.random(m * n) < 0.5, 1.0, -1.0)
         obj = LogisticNCObjective.from_rows(feats, labels, np.arange(m * n).reshape(m, n), 1e-3)
         w = make_w(build_ring(m))
-        chunk = max(1, optimizer._CHUNK_BYTES // obj.batch_nbytes(271))
+        blocks = []
+        real_draw = optimizer._draw
+
+        def recording_draw(rngs, n, b, steps):
+            blocks.append(steps)
+            return real_draw(rngs, n, b, steps)
+
+        monkeypatch.setattr(optimizer, "_draw", recording_draw)
         cfgs = {t_max: manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=271, p=0.03,
                                      t_max=t_max, seed=62) for t_max in (40, 400)}
         # The first run also makes what later runs reuse: the objective's step
@@ -781,7 +780,6 @@ class TestIndexDraws:
         run(obj, w, cfgs[40], np.zeros(d))
         peaks = {}
         for t_max, cfg in cfgs.items():
-            assert cheap_steps(cfg) >= draw_block(obj, cfg.b, chunk)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -789,16 +787,18 @@ class TestIndexDraws:
                 peaks[t_max] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
+        # The 40-step run's first block is as large as any block of the runs.
+        assert blocks[0] == max(blocks) and len(blocks) > 2
         assert abs(peaks[400] - peaks[40]) < 64 * 1024
 
 
 class TestAgainstReference:
     @settings(max_examples=15, deadline=None)
     @given(graph=graphs, n=st.integers(2, 12), d=st.integers(1, 5), kind=st.sampled_from(KINDS),
-           chunk=st.sampled_from([1, 2, 3, None]), data_seed=st.integers(0, 1000),
+           block=st.sampled_from([1, 2, 3, None]), data_seed=st.integers(0, 1000),
            cfg_seed=st.integers(0, 2**32 - 1))
-    @example(graph=build_ring(5), n=9, d=3, kind="csr", chunk=2, data_seed=7, cfg_seed=0)
-    def test_run_matches_reference_loop(self, graph, n, d, kind, chunk, data_seed, cfg_seed):
+    @example(graph=build_ring(5), n=9, d=3, kind="csr", block=2, data_seed=7, cfg_seed=0)
+    def test_run_matches_reference_loop(self, graph, n, d, kind, block, data_seed, cfg_seed):
         m = graph.m
         obj = make_objective(kind, m, n, d, data_seed)
         w = make_w(graph)
@@ -806,8 +806,8 @@ class TestAgainstReference:
                             k_in=2, t_max=30, seed=cfg_seed)
         x0 = np.linspace(-1.0, 1.0, d)
         with pytest.MonkeyPatch.context() as mp:
-            if chunk is not None:
-                mp.setattr(optimizer, "_CHUNK_BYTES", chunk * obj.batch_nbytes(cfg.b))
+            if block is not None:
+                set_block(mp, m, cfg.b, block)
             res = run(obj, w, cfg, x0)
         ref = reference_run(obj, w, cfg, x0)
         fs = res.final_state
@@ -834,34 +834,27 @@ class TestNumpyKernelReference:
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 4), n=st.integers(1, 6), d=st.integers(1, 5), b=st.integers(1, 6),
-           chunk=st.sampled_from([1, 2, 3]), density=st.floats(0.0, 1.0),
+           steps=st.sampled_from([1, 2, 3]), density=st.floats(0.0, 1.0),
            seed=st.integers(0, 2**32 - 1))
-    @example(m=1, n=5, d=3, b=4, chunk=2, density=0.5, seed=1)
-    @example(m=3, n=4, d=3, b=1, chunk=3, density=0.3, seed=2)
-    @example(m=2, n=1, d=2, b=5, chunk=1, density=1.0, seed=3)
-    def test_bitwise_the_numpy_kernel(self, m, n, d, b, chunk, density, seed):
+    @example(m=1, n=5, d=3, b=4, steps=2, density=0.5, seed=1)
+    @example(m=3, n=4, d=3, b=1, steps=3, density=0.3, seed=2)
+    @example(m=2, n=1, d=2, b=5, steps=1, density=1.0, seed=3)
+    def test_bitwise_the_numpy_kernel(self, m, n, d, b, steps, density, seed):
         rng = np.random.default_rng(seed)
         feats, labels = sparse_shards(m, n, d, density, rng)
         obj = LogisticNCObjective(feats, labels, 1e-3)
         ref = BincountLogistic(feats, labels, 1e-3)
         # Direct calls: n < b forces repeated indices within a batch.
-        idx = rng.integers(0, n, size=(chunk, m, b))
-        batch, ref_batch = obj.gather(idx), ref.gather(idx)
-        for c in range(chunk):
+        for step_idx in rng.integers(0, n, size=(steps, m, b)):
             x_new, x_old = rng.standard_normal((2, m, d))
-            np.testing.assert_array_equal(obj.batch_diff(batch, c, x_new, x_old),
-                                          ref.batch_diff(ref_batch, c, x_new, x_old))
+            np.testing.assert_array_equal(obj.batch_diff(step_idx, x_new, x_old),
+                                          ref.batch_diff(step_idx, x_new, x_old))
         if m == 1:
             return
-        # Whole runs, C cheap steps per chunk on each side.
+        # Whole runs on each side.
         w = make_w(build_complete(m))
         cfg = manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=b, p=0.3, t_max=30, seed=seed)
-        results = []
-        for o in (obj, ref):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(optimizer, "_CHUNK_BYTES", chunk * o.batch_nbytes(b))
-                results.append(run(o, w, cfg, np.linspace(-1.0, 1.0, d)))
-        res, want = results
+        res, want = (run(o, w, cfg, np.linspace(-1.0, 1.0, d)) for o in (obj, ref))
         for name in ("x", "g", "s"):
             np.testing.assert_array_equal(getattr(res.final_state, name),
                                           getattr(want.final_state, name))
@@ -884,16 +877,16 @@ class TestScipyOperatorReference:
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 4), n=st.integers(1, 6), d=st.integers(1, 5), b=st.integers(1, 8),
-           chunk=st.sampled_from([1, 2, 3]), density=st.floats(0.0, 1.0),
+           steps=st.sampled_from([1, 2, 3]), density=st.floats(0.0, 1.0),
            wide=st.sampled_from(["", "shards", "stacked"]), seed=st.integers(0, 2**32 - 1))
-    @example(m=2, n=4, d=3, b=3, chunk=3, density=0.0, wide="", seed=1)
-    @example(m=3, n=2, d=2, b=7, chunk=2, density=0.4, wide="", seed=2)
-    @example(m=2, n=5, d=4, b=3, chunk=3, density=0.5, wide="shards", seed=3)
-    @example(m=3, n=5, d=4, b=6, chunk=2, density=0.3, wide="stacked", seed=4)
-    def test_bitwise_the_scipy_operators(self, m, n, d, b, chunk, density, wide, seed):
+    @example(m=2, n=4, d=3, b=3, steps=3, density=0.0, wide="", seed=1)
+    @example(m=3, n=2, d=2, b=7, steps=2, density=0.4, wide="", seed=2)
+    @example(m=2, n=5, d=4, b=3, steps=3, density=0.5, wide="shards", seed=3)
+    @example(m=3, n=5, d=4, b=6, steps=2, density=0.3, wide="stacked", seed=4)
+    def test_bitwise_the_scipy_operators(self, m, n, d, b, steps, density, wide, seed):
         # density 0 and low densities give empty rows, b > n repeated rows,
-        # and c > 0 reads past a chunk's first step.  "shards" builds from
-        # int64-indexed shards; "stacked" gives the stacked matrix itself
+        # and a chain of steps reuses regularizer gradients.  "shards" builds
+        # from int64-indexed shards; "stacked" gives the stacked matrix itself
         # int64 indices and indptr.
         rng = np.random.default_rng(seed)
         feats, labels = sparse_shards(m, n, d, density, rng)
@@ -903,31 +896,26 @@ class TestScipyOperatorReference:
         ref = ScipyOperatorLogistic(feats, labels, 1e-3)
         if wide == "stacked":
             widen(obj._x), widen(ref._x)
-        idx = rng.integers(0, n, size=(chunk, m, b))
-        batch, ref_batch = obj.gather(idx), ref.gather(idx)
-        np.testing.assert_array_equal(batch[0], ref_batch[0])
-        for got, want in zip(batch[1:], (ref_batch[1].indptr, ref_batch[1].indices,
-                                         ref_batch[1].data)):
-            np.testing.assert_array_equal(got, want)
-        # scipy's constructor shrinks the index dtype of the reference's chunk;
-        # the library's keeps the stacked matrix's, so its kernels copy nothing.
-        assert batch[1].dtype == batch[2].dtype == obj._x.indices.dtype
+        idx = rng.integers(0, n, size=(steps, m, b))
+        # A step's row copy holds what scipy's row indexing gives.  scipy may
+        # shrink the index dtype of its copy; the library's keeps the stacked
+        # matrix's, so its kernels copy nothing.
+        picked = (idx[0] + obj._starts[:, None]).ravel()
+        copied, want = objectives._copy_rows(obj._x, obj._row_nnz, picked), ref._x[picked]
+        for got, ref_array in zip(copied, (want.indptr, want.indices, want.data)):
+            np.testing.assert_array_equal(got, ref_array)
+        assert copied[0].dtype == copied[1].dtype == obj._x.indices.dtype
         assert (obj._x.indices.dtype == np.int64) == (wide == "stacked")
         # A chain of iterates, each step's x_old the previous step's x_new.
-        xs = list(rng.standard_normal((chunk + 1, m, d)))
-        for c in range(chunk):
-            np.testing.assert_array_equal(obj.batch_diff(batch, c, xs[c + 1], xs[c]),
-                                          ref.batch_diff(ref_batch, c, xs[c + 1], xs[c]))
+        xs = list(rng.standard_normal((steps + 1, m, d)))
+        for c in range(steps):
+            np.testing.assert_array_equal(obj.batch_diff(idx[c], xs[c + 1], xs[c]),
+                                          ref.batch_diff(idx[c], xs[c + 1], xs[c]))
         if m == 1:
             return
         w = make_w(build_complete(m))
         cfg = manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=b, p=0.3, t_max=30, seed=seed)
-        results = []
-        for o in (obj, ref):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(optimizer, "_CHUNK_BYTES", chunk * o.batch_nbytes(b))
-                results.append(run(o, w, cfg, np.linspace(-1.0, 1.0, d)))
-        res, want = results
+        res, want = (run(o, w, cfg, np.linspace(-1.0, 1.0, d)) for o in (obj, ref))
         for name in ("x", "g", "s"):
             np.testing.assert_array_equal(getattr(res.final_state, name),
                                           getattr(want.final_state, name))
@@ -939,7 +927,6 @@ class TestScipyOperatorReference:
         ref = ScipyOperatorLogistic(obj.features, obj.labels, obj.lambda_reg)
         rng = np.random.default_rng(57)
         idx = rng.integers(0, obj.n, size=(4, obj.m, 2))
-        batch, ref_batch = obj.gather(idx), ref.gather(idx)
         x0, x1, x2 = rng.standard_normal((3, obj.m, obj.d))
         calls = []
         real = objectives._regularizer_grad
@@ -955,7 +942,7 @@ class TestScipyOperatorReference:
                                                        (x1, x2.copy(), [x1, None]),
                                                        (x2, x2, [x2, x2])]):
             del calls[:]
-            np.testing.assert_array_equal(obj.batch_diff(batch, c, x_new, x_old),
-                                          ref.batch_diff(ref_batch, c, x_new, x_old))
+            np.testing.assert_array_equal(obj.batch_diff(idx[c], x_new, x_old),
+                                          ref.batch_diff(idx[c], x_new, x_old))
             assert len(calls) == len(evaluated)
             assert all(e is None or got is e for got, e in zip(calls, evaluated))
