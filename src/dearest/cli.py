@@ -335,14 +335,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectra(args: argparse.Namespace) -> int:
-    if args.kind == "ring":
-        g = build_ring(int(args.arg))
-    elif args.kind == "complete":
-        g = build_complete(int(args.arg))
-    elif args.kind == "random":
-        g = build_random(int(args.arg), args.prob, args.seed)
-    else:
+    if args.kind == "file":
         g = read_graph_file(args.arg)
+    else:
+        g = build_graph(ExperimentSpec(topology=args.kind, m=int(args.arg), prob=args.prob,
+                                       topology_seed=args.seed))
     w = gossip_from_laplacian(laplacian(g))
     print(f"m = {g.m}")
     print(f"edges = {g.n_edges}")

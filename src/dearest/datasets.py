@@ -97,7 +97,6 @@ class Partition:
     """Disjoint per-agent shards of sample indices, each of length n; compared by identity."""
 
     shards: tuple[np.ndarray, ...]
-    seed: int
     dropped: int
 
     @property
@@ -427,7 +426,7 @@ def partition(samples: SampleSet, m: int, seed: int) -> Partition:
     perm = rng.permutation(n_total)
     n = n_total // m
     shards = tuple(perm[i * n : (i + 1) * n].copy() for i in range(m))
-    return Partition(shards=shards, seed=int(seed), dropped=int(n_total - m * n))
+    return Partition(shards=shards, dropped=int(n_total - m * n))
 
 
 def normalize_rows(samples: SampleSet) -> SampleSet:
@@ -448,16 +447,8 @@ def normalize_rows(samples: SampleSet) -> SampleSet:
 
 
 def shard_matrices(
-    samples: SampleSet,
-    part: Partition,
-    normalize: bool = False,
+    samples: SampleSet, part: Partition
 ) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
-    """Assemble per-agent CSR feature matrices and label vectors.
-
-    ``normalize`` applies ``normalize_rows`` first; default is the raw file
-    values.
-    """
-    if normalize:
-        samples = normalize_rows(samples)
+    """Per-agent CSR feature matrices and label vectors, copied from ``samples``."""
     return ([samples.features[shard] for shard in part.shards],
             [samples.labels[shard] for shard in part.shards])

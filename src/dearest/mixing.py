@@ -50,19 +50,19 @@ class MixingError(ValueError):
 def chebyshev_momentum(lambda2: float) -> float:
     """Momentum weight for the accelerated gossip recursion.
 
-    lambda2 below 1e-15 is clamped to zero (plain gossip averaging) so that
-    sqrt(1 - lambda2^2) never picks up rounding noise.
+    Needs no branch at lambda2 = 0 (plain gossip averaging): for lambda2 up
+    to about 7.5e-9 (2**-27), 1 - lambda2^2 rounds to exactly 1, so the
+    weight is exactly 0.0.  ``topology`` already clamps rounding noise in
+    lambda2 to zero.
     """
     if not 0.0 <= lambda2 < 1.0:
         raise MixingError(f"lambda2 must be in [0, 1), got {lambda2}")
-    if lambda2 < 1e-15:
-        return 0.0
     root = math.sqrt(1.0 - lambda2 * lambda2)
     return (1.0 - root) / (1.0 + root)
 
 
 def _check_rounds(k: object) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise MixingError(f"round count must be a nonnegative integer, got {k!r}")
     return int(k)
 

@@ -6,8 +6,8 @@ the average of the local ones.  The optimizer calls component gradients (the
 costed oracle) only in stacked form, so an objective implements no single
 component: full local gradients, one row per agent (``grad_rows``), and the
 cheap-step paired difference of mini-batch means for all agents at once,
-from one step's (m, b) indices (``batch_diff``).  Exact global values and
-gradients exist for diagnostics.
+from one step's (m, b) indices, checked to lie in [0, n) (``batch_diff``).
+Exact global values and gradients exist for diagnostics.
 
 Two concrete instances:
 
@@ -18,8 +18,8 @@ Two concrete instances:
   matrix.  A full pass is one sparse product each way, with the margins,
   sigmoid and coefficients computed in place in one array.  Cheap steps
   call scipy's sparse kernels directly, with no matrix object: a step's
-  ``csr_row_index`` copies its rows, and two ``csr_matvec`` calls (into a
-  reused scratch buffer) and one ``csc_matvec`` read that copy.
+  ``csr_row_index`` copies its rows, and two ``csr_matvec`` calls and one
+  ``csc_matvec`` read that copy; no scratch is kept between calls.
   These private ``scipy.sparse._sparsetools`` names are imported at load,
   so a scipy without them fails at import.  The sigmoid is numpy's tanh,
   0.5 + 0.5 * tanh(t / 2), which cannot overflow.
@@ -57,10 +57,7 @@ __all__ = [
 class FiniteSumObjective(abc.ABC):
     """Average of m local functions, each an average of n components.
 
-    Subclasses set ``m``, ``n``, ``d`` and implement what the optimizer and
-    telemetry call: the full local gradients of all agents, one cheap step's
-    paired mini-batch differences, the exact global value and gradient, the
-    smoothness constant and a lower bound on the value.
+    Subclasses set ``m``, ``n``, ``d`` and implement the abstract methods.
     """
 
     m: int
@@ -75,7 +72,7 @@ class FiniteSumObjective(abc.ABC):
     def batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
         """One cheap step's paired differences, (m, d), from its (m, b) indices:
         row i is the mean, over idx[i] with multiplicity, of grad f_ij(x_new[i])
-        - grad f_ij(x_old[i])."""
+        - grad f_ij(x_old[i]).  Indices outside [0, n) raise ValueError."""
 
     @abc.abstractmethod
     def global_value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -133,6 +130,19 @@ def _stable_logistic_loss(z: np.ndarray, out: np.ndarray | None = None) -> np.nd
     np.exp(tail, out=tail)
     np.log1p(tail, out=tail)
     return np.add(head, tail, out=tail)
+
+
+def _check_indices(idx: np.ndarray, n: int, what: str = "sample") -> None:
+    # Viewed unsigned, a negative index is huge: one max checks [0, n).
+    if idx.dtype.kind not in "iu" or idx.size and idx.view(f"u{idx.itemsize}").max() >= n:
+        raise ValueError(f"{what} indices must be integers in [0, {n})")
+
+
+def _average_smoothness(ell: np.ndarray) -> float:
+    # L = max_i sqrt(mean_j ell_ij^2) from (m, n) per-component constants,
+    # squared in place.
+    np.multiply(ell, ell, out=ell)
+    return float(np.max(np.sqrt(np.mean(ell, axis=1))))
 
 
 def _copy_rows(x: sp.csr_matrix, row_nnz: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -212,10 +222,7 @@ class LogisticNCObjective(FiniteSumObjective):
         if any(len(s) != n for s in shards):
             raise ValueError(f"shards must have equal lengths, got {sorted({len(s) for s in shards})}")
         rows = np.concatenate([np.asarray(s) for s in shards])
-        if rows.dtype.kind not in "iu":
-            raise ValueError(f"row indices must be integers, got {rows.dtype}")
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-            raise ValueError(f"row indices must lie in [0, {n_rows}), got {rows.min()}..{rows.max()}")
+        _check_indices(rows, n_rows, "row")
         row_nnz = np.diff(features.indptr)
         if row_nnz[rows].sum(dtype=np.int64) > np.iinfo(features.indices.dtype).max:
             raise ValueError(f"the shards hold more nonzeros than {features.indices.dtype} can index")
@@ -255,7 +262,6 @@ class LogisticNCObjective(FiniteSumObjective):
         self.labels = [self._y[s:s + self.n] for s in self._starts]
         self._smoothness = self._smoothness_bound()
         self._last_reg: tuple = (None, None)  # batch_diff's last x_new, its regularizer grad
-        self._margins = np.empty((2, 0))  # batch_diff's scratch: new and old margins
 
     @property
     def features(self) -> list[sp.csr_matrix]:
@@ -267,16 +273,14 @@ class LogisticNCObjective(FiniteSumObjective):
         return (self._xt @ coef).reshape(self.m, self.d) + _regularizer_grad(x, self.lambda_reg)
 
     def batch_diff(self, idx: np.ndarray, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        # One copy of the step's rows of the stacked matrix: CSR margins into
-        # the reused scratch, the coefficients in place, CSC transpose.
+        # One copy of the step's rows of the stacked matrix: CSR margins, the
+        # coefficients in place in them, CSC transpose.
+        _check_indices(idx, self.n)
         picked = (idx + self._starts[:, None]).ravel()
         lab = self._y[picked]
         ptr, indices, data = _copy_rows(self._x, self._row_nnz, picked)
         rows = lab.size
-        if self._margins.shape[1] != rows:
-            self._margins = np.empty((2, rows))
-        z = self._margins
-        z.fill(0.0)
+        z = np.zeros((2, rows))
         csr_matvec(rows, x_new.size, ptr, indices, data, x_new.ravel(), z[0])
         csr_matvec(rows, x_old.size, ptr, indices, data, x_old.ravel(), z[1])
         np.multiply(lab, z, out=z)
@@ -335,8 +339,7 @@ class LogisticNCObjective(FiniteSumObjective):
             csr_matvec(out.size, ones.size, ptr - ptr[0], x.indices[ptr[0]:ptr[-1]],
                        x.data[ptr[0]:ptr[-1]] ** 2, ones, out)
         ell = np.add(np.divide(row_sq, 4.0, out=row_sq), 2.0 * self.lambda_reg, out=row_sq)
-        ell *= ell
-        return float(np.max(np.sqrt(np.mean(ell.reshape(self.m, self.n), axis=1))))
+        return _average_smoothness(ell.reshape(self.m, self.n))
 
     @property
     def smoothness(self) -> float:
@@ -389,6 +392,7 @@ class QuadraticObjective(FiniteSumObjective):
         # block of agents, one gather, r = A_ij dx_i per sample, then
         # r_i^T A_i,sub per agent.  dx is repeated per sample: matmul is
         # slower when it broadcasts.
+        _check_indices(idx, self.n)
         rows = idx + self._starts[:, None]
         b, (q, d) = rows.shape[1], self.a.shape[2:]
         agents = max(1, _GATHER_BYTES // (8 * b * q * d))
@@ -416,8 +420,7 @@ class QuadraticObjective(FiniteSumObjective):
         half = blocks.shape[0] // 2
         norms = concurrently(lambda: np.linalg.norm(blocks[:half], 2, axis=(-2, -1)),
                              lambda: np.linalg.norm(blocks[half:], 2, axis=(-2, -1)))
-        ell = (np.concatenate(norms) ** 2).reshape(self.m, self.n)
-        return float(np.max(np.sqrt(np.mean(ell * ell, axis=1))))
+        return _average_smoothness((np.concatenate(norms) ** 2).reshape(self.m, self.n))
 
     @property
     def smoothness(self) -> float:

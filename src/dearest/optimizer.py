@@ -87,6 +87,12 @@ def _require_finite(**fields: float) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
+def _require_int(**fields: object) -> None:
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """All run hyperparameters plus the seeds of every random stream.
@@ -111,6 +117,11 @@ class RunConfig:
     output_seed: int = 0
 
     def __post_init__(self) -> None:
+        seeds = tuple(self.agent_seeds)
+        _require_int(b=self.b, big_k=self.big_k, hat_k=self.hat_k, k_in=self.k_in,
+                     t_max=self.t_max, shared_seed=self.shared_seed, output_seed=self.output_seed,
+                     **{f"agent_seeds[{i}]": s for i, s in enumerate(seeds)})
+        object.__setattr__(self, "agent_seeds", tuple(int(s) for s in seeds))
         _require_finite(eta=self.eta)
         if not 0.0 < self.p <= 1.0:
             raise ConfigError(f"refresh probability must be in (0, 1], got {self.p}")
@@ -128,7 +139,6 @@ class RunConfig:
             raise ConfigError(f"initial round count must be >= 0, got {self.k_in}")
         if self.t_max < 0:
             raise ConfigError(f"iteration budget must be >= 0, got {self.t_max}")
-        object.__setattr__(self, "agent_seeds", tuple(int(s) for s in self.agent_seeds))
 
 
 def theorem_config(
@@ -453,8 +463,6 @@ def run(
     ``output_seeds``.  Deterministic: identical config and seeds reproduce
     telemetry and output bitwise.
     """
-    if cfg.t_max < 1:
-        raise ConfigError("t_max must be >= 1: the output set would be empty")
     if telemetry_stride < 1:
         raise ConfigError(f"telemetry stride must be >= 1, got {telemetry_stride}")
     history = IterateHistory(obj.m, cfg.t_max, (cfg.output_seed, *output_seeds))

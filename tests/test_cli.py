@@ -9,8 +9,9 @@ import pytest
 
 from dearest import cli
 from dearest.cli import SpecError, load_spec, main, run_experiment
-from dearest.datasets import parse_libsvm, partition, shard_matrices
+from dearest.datasets import normalize_rows, parse_libsvm, partition, shard_matrices
 from dearest.objectives import LogisticNCObjective
+from dearest.topology import build_ring, write_graph_file
 
 RING_QUAD_SPEC = """\
 # smoke experiment
@@ -227,7 +228,7 @@ class TestDataObjective:
         def shard_matrices_flow(spec, seed, samples=None):
             raw = parse_libsvm(spec.data, spec.dim)
             part = partition(raw, spec.m, seed)
-            feats, labels = shard_matrices(raw, part, normalize=spec.normalize)
+            feats, labels = shard_matrices(normalize_rows(raw) if spec.normalize else raw, part)
             return LogisticNCObjective(feats, labels, spec.lambda_reg)
 
         monkeypatch.setattr(cli, "build_objective", shard_matrices_flow)
@@ -306,6 +307,22 @@ class TestMain:
     def test_spectra_random(self, capsys):
         assert main(["spectra", "random", "12", "--prob", "0.3", "--seed", "2"]) == 0
         assert "gap =" in capsys.readouterr().out
+
+    def test_spectra_complete(self, capsys):
+        assert main(["spectra", "complete", "5"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "lambda2 = 0" in out
+        assert "gap = 1" in out
+
+    def test_spectra_file_matches_the_built_ring(self, tmp_path, capsys):
+        path = tmp_path / "ring6.txt"
+        write_graph_file(build_ring(6), path)
+        assert main(["spectra", "file", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["spectra", "ring", "6"]) == 0
+        assert from_file == capsys.readouterr().out
+        assert "lambda2 = 0.75" in from_file.splitlines()
+        assert "gap = 0.25" in from_file.splitlines()
 
     def test_params_output(self, capsys):
         assert main(["params", "20", "1628", "3.5", "0.9755", "0.05"]) == 0

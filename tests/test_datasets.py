@@ -15,6 +15,7 @@ from dearest import datasets
 from dearest.datasets import (
     DatasetError,
     SampleSet,
+    normalize_rows,
     parse_libsvm,
     partition,
     shard_matrices,
@@ -208,10 +209,12 @@ class TestShardMatrices:
                 np.testing.assert_array_equal(f[row].toarray().ravel(), rows[j])
                 assert lab[row] == row_labels[j]
 
-    def test_normalize_flag(self, tmp_path):
+    def test_rows_of_normalized_samples(self, tmp_path):
+        # The spec's normalize scales the parsed file once (cli.load_samples);
+        # shards copied from the scaled samples hold unit-norm rows.
         samples = parse_libsvm(write(tmp_path, "+1 1:3.0 2:4.0\n-1\n"), d_override=2)
         part = partition(samples, 2, seed=0)
-        feats, _ = shard_matrices(samples, part, normalize=True)
+        feats, _ = shard_matrices(normalize_rows(samples), part)
         norms = [np.linalg.norm(np.asarray(f.todense())) for f in feats]
         # one sample has norm 5 -> scaled to 1; the all-zero row stays zero
         assert sorted(round(v, 12) for v in norms) == [0.0, 1.0]
@@ -220,7 +223,7 @@ class TestShardMatrices:
         samples = parse_libsvm(write(tmp_path, text, name="many.txt"), d_override=6)
         rows, _ = rows_from_text(text, 6)
         part = partition(samples, 3, seed=2)
-        feats, _ = shard_matrices(samples, part, normalize=True)
+        feats, _ = shard_matrices(normalize_rows(samples), part)
         for shard, f in zip(part.shards, feats):
             for row, j in enumerate(shard):
                 norm = np.linalg.norm(rows[j])

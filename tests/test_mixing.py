@@ -127,6 +127,9 @@ class TestFastmixBasics:
     def test_momentum_clamps_tiny_lambda2(self):
         assert chebyshev_momentum(0.0) == 0.0
         assert chebyshev_momentum(1e-16) == 0.0
+        # With no branch: up to 2**-27, 1 - lambda2^2 rounds to 1 exactly.
+        assert math.copysign(1.0, chebyshev_momentum(2.0**-27)) == 1.0
+        assert chebyshev_momentum(2.0**-27) == 0.0
         assert chebyshev_momentum(0.5) == pytest.approx(
             (1 - math.sqrt(0.75)) / (1 + math.sqrt(0.75)), rel=1e-15
         )
@@ -309,7 +312,7 @@ class TestOneRecursion:
         mixing_polynomials(w, rounds)
         self.assert_each_alone(w, rounds)
 
-    @pytest.mark.parametrize("bad", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("bad", [-1, 2.5, "3", True])
     def test_rejects_bad_round_counts(self, bad):
         w = make_w("ring", 5)
         with pytest.raises(MixingError, match="round count"):

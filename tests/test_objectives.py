@@ -530,6 +530,24 @@ class TestPairedBatchDiff:
         x_old = rng.standard_normal((m, d))
         assert_rel_close(obj.batch_diff(idx, x_new, x_old), loop_paired_diff(obj, idx, x_new, x_old))
 
+    @pytest.mark.parametrize("kind", ["dense", "csr", "quadratic"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_rejects_indices_outside_the_agents_range(self, kind, dtype, bad, monkeypatch):
+        # Index -1 or n would read another agent's component (the logistic
+        # row-copy kernel does not bounds-check: agent 0's -1 is row -1).
+        obj = fused_instances()[kind]
+        x = np.random.default_rng(38).standard_normal((obj.m, obj.d))
+        for agent in (0, 1):
+            idx = np.zeros((obj.m, 3), dtype=dtype)
+            idx[agent, 1] = bad
+            with monkeypatch.context() as patch:
+                patch.setattr(objectives, "csr_row_index", None)
+                with pytest.raises(ValueError, match=r"indices must be integers in \[0, 9\)"):
+                    obj.batch_diff(idx, x, 2.0 * x)
+        idx[:] = [0, obj.n - 1, 4]
+        assert_rel_close(obj.batch_diff(idx, x, 2.0 * x), loop_paired_diff(obj, idx, x, 2.0 * x))
+
 
 class TestQuadraticAgentBlocks:
     """The quadratic cheap step, made agent block by agent block, is bitwise
@@ -682,8 +700,8 @@ class TestFromRows:
     def test_bitwise_the_list_constructor(self, m, normalize):
         samples = file_like_samples(31, 6, seed=60 + m)
         part = partition(samples, m, seed=m)
-        ref = LogisticNCObjective(*shard_matrices(samples, part, normalize=normalize), 1e-3)
         src = normalize_rows(samples) if normalize else samples
+        ref = LogisticNCObjective(*shard_matrices(src, part), 1e-3)
         obj = LogisticNCObjective.from_rows(src.features, src.labels, part.shards, 1e-3)
         assert part.dropped == 31 % m
         assert np.any(np.diff(obj._x.indptr) == 0)
@@ -713,7 +731,7 @@ class TestFromRows:
         shards = [np.array(others[:2]), np.array([others[2], row]), np.array(others[3:])]
         for build in (
             lambda: LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4),
-            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0, 0)), 1e-4),
+            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0)), 1e-4),
         ):
             with pytest.raises(ValueError, match="agent 1 features are not finite"):
                 build()
@@ -724,7 +742,7 @@ class TestFromRows:
         shards = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
         for build in (
             lambda: LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4),
-            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0, 0)), 1e-4),
+            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0)), 1e-4),
         ):
             with pytest.raises(ValueError, match=r"agent 2 labels must be exactly \+1 or -1, got 0.5"):
                 build()

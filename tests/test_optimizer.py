@@ -147,6 +147,25 @@ class TestTheoremConfig:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             manual_config(2, **{field: bad})
 
+    @pytest.mark.parametrize("field", ["b", "big_k", "hat_k", "k_in", "t_max", "shared_seed",
+                                       "output_seed", "agent_seeds"])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True])
+    def test_runconfig_rejects_non_integer_counts(self, field, bad):
+        # Counts and seeds that are not integers would fail inside numpy, be
+        # truncated by int(), or (bools) run as 0 or 1.
+        cfg = manual_config(2)
+        name = field
+        if field == "agent_seeds":
+            bad, name = (cfg.agent_seeds[0], bad), r"agent_seeds\[1\]"
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            dataclasses.replace(cfg, **{field: bad})
+
+    def test_runconfig_accepts_numpy_integers(self):
+        cfg = dataclasses.replace(manual_config(2), b=np.int32(3), t_max=np.int64(5),
+                                  agent_seeds=(np.uint64(7), np.int8(1)))
+        assert cfg.b == 3 and cfg.t_max == 5
+        assert cfg.agent_seeds == (7, 1) and all(type(s) is int for s in cfg.agent_seeds)
+
 
 class TestInit:
     def test_exact_initial_estimators(self):
