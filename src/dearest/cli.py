@@ -11,7 +11,7 @@ are errors, not typos to guess around.  Example::
     data      = data/a9a
     dim       = 123
     seeds     = 0,1,2
-    t_max     = 2000          # RunConfig override
+    t_max     = 2000          # any RunConfig field; its range is checked on load
 
 ``dearest run spec.cfg`` builds the topology once and parses the data file
 once (scaling its rows to unit norm with ``normalize``).  Then for every seed
@@ -49,7 +49,7 @@ from .objectives import (
     make_quadratic,
     make_synthetic_logistic,
 )
-from .optimizer import RunConfig, derive_config, run, theorem_config
+from .optimizer import _FIELDS, RunConfig, _check_field, derive_config, run, theorem_config
 from .topology import (
     Graph,
     build_complete,
@@ -123,45 +123,25 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _parse_seeds(text: str) -> tuple[int, ...]:
     seeds = _parse_int_list(text)
     for k, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative")
         if seed in seeds[:k]:
             raise ValueError(f"seed {seed} is listed twice")
     return seeds
 
 
-_SPEC_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "objective": ("objective", str),
-    "topology": ("topology", str),
-    "m": ("m", int),
-    "epsilon": ("epsilon", _parse_finite),
-    "data": ("data", Path),
-    "dim": ("dim", int),
-    "graph_file": ("graph_file", Path),
-    "prob": ("prob", _parse_finite),
-    "topology_seed": ("topology_seed", int),
-    "data_seed": ("data_seed", int),
-    "lambda": ("lambda_reg", _parse_finite),
-    "normalize": ("normalize", _parse_bool),
-    "synthetic_samples": ("synthetic_samples", int),
-    "synthetic_dim": ("synthetic_dim", int),
-    "flip_fraction": ("flip_fraction", _parse_finite),
-    "n": ("n", int),
-    "d": ("d", int),
-    "seeds": ("seeds", _parse_seeds),
-    "output_dir": ("output_dir", Path),
-    "telemetry_stride": ("telemetry_stride", int),
+# A spec key's parser follows from its ExperimentSpec field's type; ``lambda``
+# names ``lambda_reg``.  Every RunConfig field is an override key, parsed by
+# its kind and checked by optimizer._check_field.
+_TYPE_PARSERS: dict[str, Callable[[str], object]] = {
+    "str": str, "int": int, "float": _parse_finite, "bool": _parse_bool, "Path": Path,
+    "tuple[int, ...]": _parse_seeds,
 }
-
-_OVERRIDE_KEYS: dict[str, Callable[[str], object]] = {
-    "eta": _parse_finite,
-    "b": int,
-    "p": _parse_finite,
-    "big_k": int,
-    "hat_k": int,
-    "k_in": int,
-    "t_max": int,
-    "shared_seed": int,
-    "output_seed": int,
-    "agent_seeds": _parse_int_list,
+_KIND_PARSERS = {"real": _parse_finite, "count": int, "seed": int, "seeds": _parse_int_list}
+_SPEC_KEYS = {
+    "lambda" if f.name == "lambda_reg" else f.name:
+        (f.name, _TYPE_PARSERS[f.type.removesuffix(" | None")])
+    for f in dataclasses.fields(ExperimentSpec) if f.name != "overrides"
 }
 
 _REQUIRED_KEYS = ("objective", "topology", "m", "epsilon")
@@ -188,19 +168,16 @@ def load_spec(path: str | Path) -> ExperimentSpec:
         if key in seen:
             raise SpecError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
-        if key in _SPEC_KEYS:
-            attr, caster = _SPEC_KEYS[key]
-            try:
-                setattr(spec, attr, caster(value))
-            except ValueError as exc:
-                raise SpecError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        elif key in _OVERRIDE_KEYS:
-            try:
-                spec.overrides[key] = _OVERRIDE_KEYS[key](value)
-            except ValueError as exc:
-                raise SpecError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
-        else:
+        if key not in _SPEC_KEYS and key not in _FIELDS:
             raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key in _SPEC_KEYS:
+                attr, parser = _SPEC_KEYS[key]
+                setattr(spec, attr, parser(value))
+            else:
+                spec.overrides[key] = _check_field(key, _KIND_PARSERS[_FIELDS[key][0]](value))
+        except ValueError as exc:
+            raise SpecError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     missing = [k for k in _REQUIRED_KEYS if k not in seen]
     if missing:
         raise SpecError(f"{path}: missing required keys: {', '.join(missing)}")
@@ -229,6 +206,9 @@ def _validate_spec(spec: ExperimentSpec, path: Path) -> None:
         raise SpecError(f"{path}: seeds list is empty")
     if spec.telemetry_stride < 1:
         raise SpecError(f"{path}: telemetry_stride must be >= 1")
+    seeds = spec.overrides.get("agent_seeds")
+    if seeds is not None and len(seeds) != spec.m:
+        raise SpecError(f"{path}: agent_seeds lists {len(seeds)} seeds for m={spec.m} agents")
 
 
 def build_graph(spec: ExperimentSpec) -> Graph:
@@ -277,9 +257,7 @@ def build_objective(spec: ExperimentSpec, seed: int, samples=None) -> FiniteSumO
 
 def _configure(spec: ExperimentSpec, obj: FiniteSumObjective, w, seed: int) -> RunConfig:
     cfg = derive_config(obj, w, spec.epsilon, np.zeros(obj.d), seed=seed)
-    if spec.overrides:
-        cfg = dataclasses.replace(cfg, **spec.overrides)
-    return cfg
+    return dataclasses.replace(cfg, **spec.overrides)
 
 
 def _run_seed(spec: ExperimentSpec, w, seed: int, samples) -> tuple[str, list[metrics.TelemetryRecord]]:
@@ -353,13 +331,10 @@ def _cmd_params(args: argparse.Namespace) -> int:
         args.m, args.n, args.smoothness, args.lambda2, args.epsilon,
         args.delta0, args.g0_norm_sq,
     )
-    print(f"eta = {cfg.eta:.12g}")
-    print(f"b = {cfg.b}")
-    print(f"p = {cfg.p:.12g}")
-    print(f"t_max = {cfg.t_max}")
-    print(f"big_k = {cfg.big_k}")
-    print(f"hat_k = {cfg.hat_k}")
-    print(f"k_in = {cfg.k_in}")
+    for name, (kind, *_) in _FIELDS.items():
+        value = getattr(cfg, name)
+        if kind in ("real", "count"):
+            print(f"{name} = {value:.12g}" if kind == "real" else f"{name} = {value}")
     return 0
 
 

@@ -43,6 +43,8 @@ those rows, never the trajectory.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -87,10 +89,41 @@ def _require_finite(**fields: float) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
-def _require_int(**fields: object) -> None:
-    for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+# Each RunConfig field, in its order: (kind, the words a range error calls it
+# by, low, high).  A "real" is a finite float, a "count" or "seed" an integer
+# and "seeds" a sequence of seeds; the range is [low, inf), or (low, high] when
+# high is set.  Spec overrides are parsed by kind and checked here too, and
+# ``dearest params`` prints the non-seed fields in this order.
+_FIELDS = {
+    "eta": ("real", "stepsize", 0, None),  # eta = 0 freezes the iterates: a diagnostic
+    "b": ("count", "mini-batch size", 1, None),
+    "p": ("real", "refresh probability", 0, 1),
+    "t_max": ("count", "iteration budget", 0, None),
+    "big_k": ("count", "big_k", 0, None),
+    "hat_k": ("count", "hat_k", 0, None),
+    "k_in": ("count", "initial round count", 0, None),
+    "shared_seed": ("seed", "shared_seed", 0, None),
+    "agent_seeds": ("seeds", "agent_seeds", 0, None),
+    "output_seed": ("seed", "output_seed", 0, None),
+}
+
+
+def _check_field(name: str, value, field: tuple | None = None):
+    """``value`` as RunConfig keeps field ``name``, or a ConfigError naming the field."""
+    kind, words, low, high = field or _FIELDS[name]
+    if kind == "seeds":
+        return tuple(int(_check_field(f"{name}[{i}]", s, ("seed", f"{name}[{i}]", low, None)))
+                     for i, s in enumerate(value))
+    if kind == "real":
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        _require_finite(**{name: value})
+    elif isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not (value >= low if high is None else low < value <= high):
+        bounds = f">= {low}" if high is None else f"in ({low}, {high}]"
+        raise ConfigError(f"{words} must be {bounds}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,9 +131,9 @@ class RunConfig:
     """All run hyperparameters plus the seeds of every random stream.
 
     ``eta`` is the stepsize, ``b`` the mini-batch size, ``p`` the refresh
-    probability, ``big_k``/``hat_k`` the gossip round counts for refresh and
-    regular steps, ``k_in`` the initial round count and ``t_max`` the
-    iteration budget.  ``shared_seed`` drives the network-wide Bernoulli
+    probability, ``t_max`` the iteration budget, ``big_k``/``hat_k`` the
+    gossip round counts for refresh and regular steps and ``k_in`` the
+    initial round count.  ``shared_seed`` drives the network-wide Bernoulli
     stream, ``agent_seeds`` the per-agent sampling streams, and
     ``output_seed`` the final uniform output draw.
     """
@@ -108,37 +141,21 @@ class RunConfig:
     eta: float
     b: int
     p: float
+    t_max: int
     big_k: int
     hat_k: int
     k_in: int
-    t_max: int
     shared_seed: int
     agent_seeds: tuple[int, ...]
     output_seed: int = 0
 
     def __post_init__(self) -> None:
-        seeds = tuple(self.agent_seeds)
-        _require_int(b=self.b, big_k=self.big_k, hat_k=self.hat_k, k_in=self.k_in,
-                     t_max=self.t_max, shared_seed=self.shared_seed, output_seed=self.output_seed,
-                     **{f"agent_seeds[{i}]": s for i, s in enumerate(seeds)})
-        object.__setattr__(self, "agent_seeds", tuple(int(s) for s in seeds))
-        _require_finite(eta=self.eta)
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"refresh probability must be in (0, 1], got {self.p}")
-        if self.b < 1:
-            raise ConfigError(f"mini-batch size must be >= 1, got {self.b}")
-        # eta = 0 is allowed as a diagnostic (frozen iterates); only negative
-        # stepsizes are rejected.
-        if self.eta < 0.0:
-            raise ConfigError(f"stepsize must be >= 0, got {self.eta}")
-        if not self.big_k >= self.hat_k >= 0:
+        for name in _FIELDS:
+            object.__setattr__(self, name, _check_field(name, getattr(self, name)))
+        if self.big_k < self.hat_k:
             raise ConfigError(
                 f"round counts must satisfy big_k >= hat_k >= 0, got {self.big_k}, {self.hat_k}"
             )
-        if self.k_in < 0:
-            raise ConfigError(f"initial round count must be >= 0, got {self.k_in}")
-        if self.t_max < 0:
-            raise ConfigError(f"iteration budget must be >= 0, got {self.t_max}")
 
 
 def theorem_config(
@@ -339,6 +356,14 @@ def estimator_update(
     return _estimate(state, obj, x_next, idx)
 
 
+def _check_divergence(u: np.ndarray, limit: float, t: int) -> None:
+    # One reduction passes a healthy array: NaN fails a comparison, a max cannot overflow.
+    if not np.abs(u).max() <= limit:
+        if not np.isfinite(u).all():
+            raise DivergenceError(f"non-finite iterate or tracker at iteration {t}")
+        raise DivergenceError(f"iterate norm exceeded {limit:g} at iteration {t}")
+
+
 def _advance(
     state: AggregateState,
     obj: FiniteSumObjective,
@@ -350,13 +375,11 @@ def _advance(
     y_t = 1 if idx is None else 0
     k_t = cfg.big_k if y_t else cfg.hat_k
     x_next = fastmix(state.x - cfg.eta * state.s, w, k_t)
+    # The oracle never runs at a divergent iterate.
+    _check_divergence(x_next, DIVERGENCE_LIMIT, state.t)
     g_next = _estimate(state, obj, x_next, idx)
     s_next = fastmix(state.s + (g_next - state.g), w, k_t)
-    # One test passes a healthy step: NaN fails a comparison, a max cannot overflow.
-    if not (np.abs(x_next).max() <= DIVERGENCE_LIMIT and np.abs(s_next).max() < np.inf):
-        if not (np.isfinite(x_next).all() and np.isfinite(s_next).all()):
-            raise DivergenceError(f"non-finite iterate or tracker at iteration {state.t}")
-        raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_LIMIT:g} at iteration {state.t}")
+    _check_divergence(s_next, sys.float_info.max, state.t)
     cost = obj.n if y_t else cfg.b
     raw = obj.n if y_t else 2 * cfg.b
     return AggregateState(

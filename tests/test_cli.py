@@ -111,6 +111,48 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=rf"bad value for '{key}': '{value}' is not a finite"):
             load_spec(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("b", "0", "mini-batch size must be >= 1, got 0"),
+        ("p", "1.5", r"refresh probability must be in \(0, 1\], got 1.5"),
+        ("eta", "-1", "stepsize must be >= 0, got -1.0"),
+        ("shared_seed", "-1", "shared_seed must be >= 0, got -1"),
+        ("agent_seeds", "1,2,-3,4", r"agent_seeds\[2\] must be >= 0, got -3"),
+        ("t_max", "2.5", r"invalid literal for int\(\) with base 10: '2.5'"),
+    ], ids=["b", "p", "eta", "shared_seed", "agent_seeds", "t_max"])
+    def test_bad_override_names_line_at_load(self, tmp_path, key, value, message):
+        # Checked by the run field's own rule while the spec is read, not
+        # after the data file is parsed and the first objective built.
+        path = write_spec(
+            tmp_path,
+            "objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\n"
+            f"{key} = {value}\n",
+        )
+        with pytest.raises(SpecError, match=rf"exp.cfg:5: bad value for '{key}': {message}$"):
+            load_spec(path)
+
+    def test_agent_seeds_override_must_match_m(self, tmp_path):
+        path = write_spec(
+            tmp_path,
+            "objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\nagent_seeds = 1,2,3\n",
+        )
+        with pytest.raises(SpecError, match="exp.cfg: agent_seeds lists 3 seeds for m=4 agents"):
+            load_spec(path)
+
+    def test_agent_seeds_override_is_captured(self, tmp_path):
+        path = write_spec(
+            tmp_path,
+            "objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\nagent_seeds = 4,3,2,1\n",
+        )
+        assert load_spec(path).overrides == {"agent_seeds": (4, 3, 2, 1)}
+
+    def test_negative_seed_names_line(self, tmp_path):
+        path = write_spec(
+            tmp_path,
+            "objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\nseeds = 0,-1\n",
+        )
+        with pytest.raises(SpecError, match=r"exp.cfg:5: bad value for 'seeds': seed -1 is negative$"):
+            load_spec(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_spec(
             tmp_path,
@@ -287,6 +329,19 @@ class TestMain:
         assert "flip_fraction must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_huge_stepsize_reports_divergence(self, tmp_path, capsys):
+        # The suite turns numpy's warnings into errors, as ``python -W error``
+        # does: the iterate is checked before the logistic oracle overflows at it.
+        out = tmp_path / "never"
+        path = write_spec(
+            tmp_path,
+            "objective = logistic\ntopology = ring\nm = 4\nepsilon = 1e-3\n"
+            f"synthetic_samples = 32\nsynthetic_dim = 3\neta = 1e300\nt_max = 5\noutput_dir = {out}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == "error: iterate norm exceeded 1e+12 at iteration 0\n"
+        assert not out.exists()
+
     def test_spectra_ring(self, capsys):
         assert main(["spectra", "ring", "20"]) == 0
         out = capsys.readouterr().out
@@ -326,9 +381,10 @@ class TestMain:
 
     def test_params_output(self, capsys):
         assert main(["params", "20", "1628", "3.5", "0.9755", "0.05"]) == 0
-        out = capsys.readouterr().out
-        assert "b = 55" in out
-        assert "hat_k = 39" in out
+        assert capsys.readouterr().out == (
+            "eta = 0.142857142857\nb = 55\np = 0.0326797385621\nt_max = 22400\n"
+            "big_k = 39\nhat_k = 39\nk_in = 0\n"
+        )
 
     def test_params_rejects_bad_lambda2(self, capsys):
         assert main(["params", "4", "16", "1.0", "1.5", "0.1"]) == 1

@@ -160,6 +160,31 @@ class TestTheoremConfig:
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             dataclasses.replace(cfg, **{field: bad})
 
+    @pytest.mark.parametrize("field", ["eta", "p"])
+    @pytest.mark.parametrize("bad", [True, "0.1", None])
+    def test_runconfig_rejects_non_real_floats(self, field, bad):
+        # A bool ran as 0 or 1 (p = True made every step a refresh), and a
+        # string or None failed inside math.isfinite with a TypeError.
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            manual_config(2, **{field: bad})
+
+    def test_runconfig_accepts_numpy_reals(self):
+        cfg = manual_config(2, eta=np.float32(0.25), p=np.float64(0.5))
+        assert cfg.eta == 0.25 and cfg.p == 0.5
+
+    @pytest.mark.parametrize("field", ["shared_seed", "output_seed", "agent_seeds"])
+    def test_runconfig_rejects_negative_seeds(self, field):
+        # numpy's default_rng rejects a negative seed without naming the field.
+        cfg = manual_config(5)
+        bad, name = -1, field
+        if field == "agent_seeds":
+            bad, name = (*cfg.agent_seeds[:3], -1, cfg.agent_seeds[4]), r"agent_seeds\[3\]"
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 0, got -1$"):
+            dataclasses.replace(cfg, **{field: bad})
+
+    def test_run_field_table_lists_the_runconfig_fields(self):
+        assert list(optimizer._FIELDS) == [f.name for f in dataclasses.fields(RunConfig)]
+
     def test_runconfig_accepts_numpy_integers(self):
         cfg = dataclasses.replace(manual_config(2), b=np.int32(3), t_max=np.int64(5),
                                   agent_seeds=(np.uint64(7), np.int8(1)))
@@ -398,6 +423,12 @@ class TestDivergenceChecks:
         with pytest.raises(DivergenceError) as err:
             self.advance(monkeypatch, x_next, s_next)
         assert str(err.value) == message
+
+    def test_oracle_is_not_called_at_a_divergent_iterate(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_estimate", lambda *args: pytest.fail("oracle called"))
+        with pytest.raises(DivergenceError) as err:
+            self.advance(monkeypatch, [[0.0, 0.0], [-2e12, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+        assert str(err.value) == self.TOO_LARGE
 
     def test_limit_itself_passes(self, monkeypatch):
         state = self.advance(monkeypatch, [[1e12, 0.0], [0.0, -1e12]], [[0.0, 0.0], [0.0, 0.0]])
@@ -693,6 +724,16 @@ class TestChunkedRun:
         failed_at = int(str(from_run.value).rsplit(" ", 1)[1])
         # cheap steps come before the failure
         assert cheap_steps(dataclasses.replace(cfg, t_max=failed_at)) > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_huge_stepsize_raises_divergence_not_overflow(self, kind):
+        # The suite turns numpy's warnings into errors: evaluating the
+        # logistic regularizer at an iterate of about 1e300 used to end the
+        # run with "overflow encountered in multiply".
+        obj = make_objective(kind, 4, 6, 3, seed=61)
+        cfg = manual_config(4, eta=1e300, t_max=5)
+        with pytest.raises(DivergenceError, match="^iterate norm exceeded 1e\\+12 at iteration 0$"):
+            run(obj, make_w(build_ring(4)), cfg, np.ones(3))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
