@@ -13,13 +13,16 @@ are errors, not typos to guess around.  Example::
     seeds     = 0,1,2
     t_max     = 2000          # any RunConfig field; its range is checked on load
 
-``dearest run spec.cfg`` builds the topology once and parses the data file
-once (scaling its rows to unit norm with ``normalize``).  Then for every seed
-it splits the data afresh, gathering each agent's rows straight into the
-objective's stacked matrix, derives the guarantee-based hyperparameters (plus
-any overrides), runs the optimizer, and writes ``telemetry_<seed>.csv`` and a
-``summary.csv`` in the output directory.  ``dearest spectra`` prints mixing
-spectra and ``dearest params`` prints derived hyperparameters.
+``dearest run spec.cfg`` first checks that the output directory can be
+made, then builds the topology once and parses the data file once (scaling
+its rows to unit norm with ``normalize``).  Then for every seed it splits the
+data afresh, gathering each agent's rows straight into the objective's
+stacked matrix, derives the guarantee-based hyperparameters (plus any
+overrides) and runs the optimizer.  Each seed's ``telemetry_<seed>.csv`` is
+written when its run completes; a seed that fails writes nothing of its own,
+and ``summary.csv`` is written only when every seed has succeeded.
+``dearest spectra`` prints mixing spectra and ``dearest params`` prints
+derived hyperparameters.
 
 The environment variable ``DEAREST_OUTPUT_DIR`` overrides ``output_dir``.
 """
@@ -73,6 +76,9 @@ class SpecError(ValueError):
     """Malformed experiment spec: names the offending key and line."""
 
 
+Seed = int  # a spec field of this type must be >= 0
+
+
 @dataclass
 class ExperimentSpec:
     """Everything needed to reproduce a batch of runs from one text file."""
@@ -85,8 +91,8 @@ class ExperimentSpec:
     dim: int | None = None
     graph_file: Path | None = None
     prob: float = 0.15
-    topology_seed: int = 0
-    data_seed: int = 0
+    topology_seed: Seed = 0
+    data_seed: Seed = 0
     lambda_reg: float = 1e-4
     normalize: bool = False
     synthetic_samples: int = 512
@@ -94,7 +100,7 @@ class ExperimentSpec:
     flip_fraction: float = 0.1
     n: int = 50
     d: int = 10
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[Seed, ...] = (0,)
     output_dir: Path = Path("runs")
     telemetry_stride: int = 1
     overrides: dict[str, object] = field(default_factory=dict)
@@ -120,11 +126,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    seeds = _parse_int_list(text)
+    seeds = tuple(_parse_seed(tok) for tok in text.split(",") if tok.strip())
     for k, seed in enumerate(seeds):
-        if seed < 0:
-            raise ValueError(f"seed {seed} is negative")
         if seed in seeds[:k]:
             raise ValueError(f"seed {seed} is listed twice")
     return seeds
@@ -134,8 +145,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 # names ``lambda_reg``.  Every RunConfig field is an override key, parsed by
 # its kind and checked by optimizer._check_field.
 _TYPE_PARSERS: dict[str, Callable[[str], object]] = {
-    "str": str, "int": int, "float": _parse_finite, "bool": _parse_bool, "Path": Path,
-    "tuple[int, ...]": _parse_seeds,
+    "str": str, "int": int, "Seed": _parse_seed, "float": _parse_finite, "bool": _parse_bool,
+    "Path": Path, "tuple[Seed, ...]": _parse_seeds,
 }
 _KIND_PARSERS = {"real": _parse_finite, "count": int, "seed": int, "seeds": _parse_int_list}
 _SPEC_KEYS = {
@@ -260,11 +271,22 @@ def _configure(spec: ExperimentSpec, obj: FiniteSumObjective, w, seed: int) -> R
     return dataclasses.replace(cfg, **spec.overrides)
 
 
-def _run_seed(spec: ExperimentSpec, w, seed: int, samples) -> tuple[str, list[metrics.TelemetryRecord]]:
-    """One seed's summary row and telemetry.
+def _check_output_dir(out_dir: Path) -> None:
+    """Fail before any compute when ``out_dir`` cannot be made or written."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise NotADirectoryError(f"output directory {out_dir}: {path} is not a directory")
+            if not os.access(path, os.W_OK | os.X_OK):
+                raise PermissionError(f"output directory {out_dir}: {path} is not writable")
+            return
 
-    The objective and the run's iterate history are freed on return, so
-    the next seed does not build its data while this seed's is still held.
+
+def _run_seed(spec: ExperimentSpec, w, seed: int, samples, out_dir: Path) -> str:
+    """Run one seed, write its telemetry CSV and return its summary row.
+
+    What the run made is freed on return, so the next seed does not build
+    its data while this seed's is still held.
     """
     obj = build_objective(spec, seed, samples)
     cfg = _configure(spec, obj, w, seed)
@@ -273,35 +295,29 @@ def _run_seed(spec: ExperimentSpec, w, seed: int, samples) -> tuple[str, list[me
     wall = time.perf_counter() - started
     final_grad = float(np.linalg.norm(obj.global_grad(result.x_out)))
     fs = result.final_state
-    summary_row = (
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [metrics.CSV_HEADER, *map(metrics.format_csv_row, result.telemetry)]
+    (out_dir / f"telemetry_{seed}.csv").write_text("\n".join(rows) + "\n")
+    return (
         f"{seed},{obj.n},{final_grad!r},{fs.ifo_count},"
         f"{fs.comm_rounds},{fs.comm_rounds_all_calls},{wall:.3f}"
     )
-    return summary_row, result.telemetry
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
     """Run every seed of the spec; write telemetry_<seed>.csv and summary.csv.
 
-    Returns 0 on success.  Output files are only written after their run
-    completes, so a failure leaves no partial CSV behind.
+    Returns 0 on success.  A seed's CSV is written when its run completes and
+    summary.csv when every run has, so a failure leaves no partial CSV.
     """
+    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, str(spec.output_dir)))
+    _check_output_dir(out_dir)
     graph = build_graph(spec)
     w = gossip_from_laplacian(laplacian(graph))
-    out_dir = Path(os.environ.get(OUTPUT_DIR_ENV, str(spec.output_dir)))
     samples = None
     if spec.objective == "logistic" and spec.data is not None:
         samples = load_samples(spec)
-    summary_rows = []
-    run_outputs = []
-    for seed in spec.seeds:
-        summary_row, telemetry = _run_seed(spec, w, seed, samples)
-        summary_rows.append(summary_row)
-        run_outputs.append((seed, telemetry))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for seed, telemetry in run_outputs:
-        rows = [metrics.CSV_HEADER] + [metrics.format_csv_row(r) for r in telemetry]
-        (out_dir / f"telemetry_{seed}.csv").write_text("\n".join(rows) + "\n")
+    summary_rows = [_run_seed(spec, w, seed, samples, out_dir) for seed in spec.seeds]
     (out_dir / "summary.csv").write_text(
         "\n".join([SUMMARY_HEADER] + summary_rows) + "\n"
     )

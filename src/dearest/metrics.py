@@ -27,7 +27,7 @@ threading is left as the environment sets it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,9 +45,6 @@ __all__ = [
     "record",
     "format_csv_row",
 ]
-
-CSV_HEADER = "t,y_t,k_t,f_bar,grad_norm,u_t,v_t,c_t,phi_t,ifo_cum,comm_cum"
-
 
 @dataclass(frozen=True)
 class TelemetryRecord:
@@ -68,6 +65,10 @@ class TelemetryRecord:
     phi_t: float
     ifo_cum: int
     comm_cum: int
+
+
+_CSV_FIELDS = tuple(f.name for f in fields(TelemetryRecord))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 def consensus_error(state: "AggregateState", cfg: "RunConfig") -> float:
@@ -122,7 +123,5 @@ def record(
 
 def format_csv_row(rec: TelemetryRecord) -> str:
     """Stable text row matching CSV_HEADER; floats use shortest round-trip repr."""
-    return (
-        f"{rec.t},{rec.y_t},{rec.k_t},{rec.f_bar!r},{rec.grad_norm!r},"
-        f"{rec.u_t!r},{rec.v_t!r},{rec.c_t!r},{rec.phi_t!r},{rec.ifo_cum},{rec.comm_cum}"
-    )
+    values = (getattr(rec, name) for name in _CSV_FIELDS)
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)

@@ -21,18 +21,17 @@ round count K_t once (the iterate and tracker mixes can share gossip
 messages in a deployment), ``comm_rounds_all_calls`` charges every gossip
 call separately (2 K_t per step).
 
-Randomness: ``step`` draws a refresh flag from the shared stream and, on a
-cheap step, b indices from each agent's stream.  ``run`` draws the same
-numbers ahead: all t_max flags in one call, then per draw block one
-``integers`` call per agent, in agent order, for the indices of all the
-block's cheap steps.  A block holds the most steps whose (m, b) int32
-indices fit ``_BLOCK_BYTES``, 160 KiB, so that a few dozen cheap steps fill
-it and what a run holds beside the data is a constant, whatever t_max; the
-last block holds the steps left.  Each cheap step hands its own indices to
-one ``batch_diff`` call.  A generator's draws do not depend on how they are
-split into calls, and for n < 2**31 an int32 draw gives the values of an
-int64 one and leaves the stream in the same state, so every stream ends
-where a loop of ``step`` leaves it: the run is bitwise that loop.
+Randomness: each step draws its refresh flag from the shared stream and, on
+a cheap step, b indices from each agent's stream.  ``step`` (one step) and
+``run`` (t_max) both take them from ``_draws``, which goes by draw blocks of
+the most steps whose (m, b) int32 indices fit ``_BLOCK_BYTES``, 160 KiB.  A
+block makes one ``random`` call for its flags and, if it has a cheap step, one
+``integers`` call per agent, in agent order, for all its cheap steps' indices,
+so what a run holds beside the data does not grow with t_max.  Each cheap
+step hands its indices to one ``batch_diff`` call.  A generator's draws do not
+depend on how they are split into calls, and for n < 2**31 an int32 draw gives
+the values of an int64 one and leaves the stream in the same state, so ``run``
+is bitwise a loop of ``step``, whatever the block.
 
 Output rule: the returned point is one iterate row drawn uniformly over all
 (t, i) pairs with t < t_max.  The draws are seeded, so ``IterateHistory``
@@ -85,7 +84,11 @@ class DivergenceError(RuntimeError):
 
 def _require_finite(**fields: float) -> None:
     for name, value in fields.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond float range
+            raise ConfigError(f"{name} must be finite, got an integer beyond float range") from None
+        if not finite:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
@@ -321,20 +324,23 @@ def _draw(rngs: tuple[np.random.Generator, ...], n: int, b: int, steps: int) -> 
     return np.stack([rng.integers(0, n, size=(steps, b), dtype=np.int32) for rng in rngs], 1)
 
 
+def _draws(shared_rng: np.random.Generator, agent_rngs: tuple[np.random.Generator, ...],
+           n: int, b: int, p: float, steps: int) -> Iterator[np.ndarray | None]:
+    """For each of the next ``steps`` steps, None (a refresh) or its (m, b) indices, by blocks."""
+    block = max(1, _BLOCK_BYTES // (len(agent_rngs) * b * np.dtype(np.int32).itemsize))
+    for start in range(0, steps, block):
+        cheap = (shared_rng.random(size=min(block, steps - start)) >= p).tolist()
+        idx = iter(_draw(agent_rngs, n, b, sum(cheap)) if any(cheap) else ())
+        yield from (next(idx) if c else None for c in cheap)
+        del idx  # one block's indices are held at a time
+
+
 def _estimate(state: AggregateState, obj: FiniteSumObjective, x_next: np.ndarray,
               idx: np.ndarray | None) -> np.ndarray:
     """Exact local gradients (``idx`` None), else the cheap step on (m, b) indices ``idx``."""
     if idx is None:
         return obj.grad_rows(x_next)
     return state.g + obj.batch_diff(idx, x_next, state.x)
-
-
-def _cheap_batches(rngs: tuple[np.random.Generator, ...], n: int, b: int,
-                   count: int) -> Iterator[np.ndarray]:
-    """The (m, b) indices of each of ``count`` cheap steps, drawn by blocks."""
-    block = max(1, _BLOCK_BYTES // (len(rngs) * b * np.dtype(np.int32).itemsize))
-    for start in range(0, count, block):
-        yield from _draw(rngs, n, b, min(block, count - start))
 
 
 def estimator_update(
@@ -412,8 +418,7 @@ def step(
     step use K_t rounds.  Raises DivergenceError when any entry goes
     non-finite or beyond 1e12.
     """
-    y_t = 1 if state.shared_rng.random() < cfg.p else 0
-    idx = None if y_t else _draw(state.agent_rngs, obj.n, cfg.b, 1)[0]
+    idx = next(_draws(state.shared_rng, state.agent_rngs, obj.n, cfg.b, cfg.p, 1))
     return _advance(state, obj, w, cfg, idx)
 
 
@@ -490,13 +495,12 @@ def run(
         raise ConfigError(f"telemetry stride must be >= 1, got {telemetry_stride}")
     history = IterateHistory(obj.m, cfg.t_max, (cfg.output_seed, *output_seeds))
     state = init(obj, w, cfg, x0_bar)
-    flags = state.shared_rng.random(size=cfg.t_max) < cfg.p
-    cheap = _cheap_batches(state.agent_rngs, obj.n, cfg.b, cfg.t_max - int(np.count_nonzero(flags)))
     telemetry: list[_metrics.TelemetryRecord] = []
+    draws = _draws(state.shared_rng, state.agent_rngs, obj.n, cfg.b, cfg.p, cfg.t_max)
     for t in range(cfg.t_max):
         history.record(t, state.x)
         before = state
-        state = _advance(state, obj, w, cfg, None if flags[t] else next(cheap))
+        state = _advance(state, obj, w, cfg, next(draws))
         if t % telemetry_stride == 0:
             telemetry.append(
                 _metrics.record(before, obj, cfg, y_t=state.y_last, k_t=state.k_last)

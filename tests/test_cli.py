@@ -1,5 +1,6 @@
 """Spec parsing, experiment orchestration, and the command-line surface."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from dearest import cli
 from dearest.cli import SpecError, load_spec, main, run_experiment
 from dearest.datasets import normalize_rows, parse_libsvm, partition, shard_matrices
 from dearest.objectives import LogisticNCObjective
+from dearest.optimizer import DivergenceError
 from dearest.topology import build_ring, write_graph_file
 
 RING_QUAD_SPEC = """\
@@ -153,6 +155,16 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=r"exp.cfg:5: bad value for 'seeds': seed -1 is negative$"):
             load_spec(path)
 
+    @pytest.mark.parametrize("key", ["data_seed", "topology_seed"])
+    def test_negative_seed_key_names_line(self, tmp_path, key):
+        # Checked at load, so the error names the key and the line, not numpy's.
+        path = write_spec(
+            tmp_path,
+            f"objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\n{key} = -1\n",
+        )
+        with pytest.raises(SpecError, match=rf"exp.cfg:5: bad value for '{key}': seed -1 is negative$"):
+            load_spec(path)
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_spec(
             tmp_path,
@@ -209,6 +221,27 @@ class TestRunExperiment:
         run_experiment(spec)
         assert (override / "summary.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    def test_failed_seed_keeps_earlier_csvs_and_writes_no_summary(self, tmp_path, monkeypatch):
+        # Seed 1's run diverges after seed 0's has written its telemetry.
+        out = tmp_path / "out"
+        path = write_spec(tmp_path, RING_QUAD_SPEC + f"output_dir = {out}\n")
+        alone = tmp_path / "alone"
+        path_alone = write_spec(tmp_path, RING_QUAD_SPEC.replace("seeds     = 0,1", "seeds = 0")
+                                + f"output_dir = {alone}\n", name="alone.cfg")
+        assert run_experiment(load_spec(path_alone)) == 0
+        real_run = cli.run
+
+        def diverging_second_run(obj, w, cfg, x0, **kwargs):
+            if (out / "telemetry_0.csv").exists():
+                cfg = dataclasses.replace(cfg, eta=1e300)
+            return real_run(obj, w, cfg, x0, **kwargs)
+
+        monkeypatch.setattr(cli, "run", diverging_second_run)
+        with pytest.raises(DivergenceError):
+            run_experiment(load_spec(path))
+        assert sorted(p.name for p in out.iterdir()) == ["telemetry_0.csv"]
+        assert (out / "telemetry_0.csv").read_bytes() == (alone / "telemetry_0.csv").read_bytes()
 
     def test_dataset_partition_sizes_in_summary(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -341,6 +374,33 @@ class TestMain:
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err == "error: iterate norm exceeded 1e+12 at iteration 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_run_output_dir_at_a_file_fails_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                           under):
+        # Checked before any compute, not when the first CSV is written.
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        out = taken / under
+        built = []
+        monkeypatch.setattr(cli, "build_graph", lambda spec: built.append(spec))
+        path = write_spec(tmp_path, RING_QUAD_SPEC + f"output_dir = {out}\n")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output directory {out}: {taken} is not a directory\n")
+        assert built == []
+        assert taken.read_text() == "keep me\n"
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_run_unwritable_output_dir_fails_before_compute(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_graph", lambda spec: built.append(spec))
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "new" / "out"))
+        assert main(["run", str(write_spec(tmp_path, RING_QUAD_SPEC))]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {tmp_path}/new/out: {tmp_path} is not writable\n"
+        assert built == [] and not (tmp_path / "new").exists()
 
     def test_spectra_ring(self, capsys):
         assert main(["spectra", "ring", "20"]) == 0

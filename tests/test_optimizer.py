@@ -168,6 +168,12 @@ class TestTheoremConfig:
         with pytest.raises(ConfigError, match=f"{field} must be a real number"):
             manual_config(2, **{field: bad})
 
+    @pytest.mark.parametrize("field", ["eta", "p"])
+    def test_runconfig_rejects_ints_beyond_float_range(self, field):
+        # math.isfinite raised OverflowError for such an int.
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got an integer beyond"):
+            manual_config(2, **{field: 10**400})
+
     def test_runconfig_accepts_numpy_reals(self):
         cfg = manual_config(2, eta=np.float32(0.25), p=np.float64(0.5))
         assert cfg.eta == 0.25 and cfg.p == 0.5
@@ -640,8 +646,18 @@ def step_loop(obj, w, cfg, x0):
     return state, iterates, telemetry
 
 
+def cheap_flags(cfg):
+    return np.random.default_rng(cfg.shared_seed).random(cfg.t_max) >= cfg.p
+
+
 def cheap_steps(cfg):
-    return int(np.count_nonzero(np.random.default_rng(cfg.shared_seed).random(cfg.t_max) >= cfg.p))
+    return int(np.count_nonzero(cheap_flags(cfg)))
+
+
+def index_draws(cfg, block):
+    """Draw blocks of ``block`` steps holding a cheap step: one ``integers`` call per agent each."""
+    cheap = cheap_flags(cfg)
+    return sum(bool(cheap[start:start + block].any()) for start in range(0, cfg.t_max, block))
 
 
 def stream_states(state):
@@ -652,7 +668,7 @@ COUNTERS = ("ifo_count", "raw_grad_evals", "comm_rounds", "comm_rounds_all_calls
 
 
 def set_block(monkeypatch, m, b, steps):
-    """Size ``run``'s draw blocks to ``steps`` cheap steps of m agents' b int32 indices."""
+    """Size the draw blocks to ``steps`` steps of m agents' b int32 indices."""
     monkeypatch.setattr(optimizer, "_BLOCK_BYTES", steps * m * b * 4)
 
 
@@ -680,8 +696,8 @@ def count_draws(monkeypatch, m):
 
 
 class TestChunkedRun:
-    """``run`` draws its cheap steps' indices in chunks of steps, its draw
-    blocks; a loop of ``step`` draws them one step at a time.  The two must
+    """``run`` draws its flags and its cheap steps' indices by draw blocks of
+    steps; a loop of ``step`` draws them one step at a time.  The two must
     agree bitwise, whatever the block."""
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -689,11 +705,13 @@ class TestChunkedRun:
     def test_run_is_bitwise_a_step_loop(self, kind, block, monkeypatch):
         obj = make_objective(kind, 4, 9, 3, seed=50)
         w = make_w(build_ring(4))
-        cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=52)
+        cfg = manual_config(4, b=3, p=0.3, t_max=41, seed=52)
         if block is not None:
             set_block(monkeypatch, obj.m, cfg.b, block)
-        # with blocks of 2 or 3 steps the last block is a short one
-        assert cheap_steps(cfg) % 2 and cheap_steps(cfg) % 3
+        # with blocks of 2 or 3 steps the last block is a short one, and some
+        # block of 2 holds no cheap step, so it draws no indices
+        assert cfg.t_max % 2 and cfg.t_max % 3
+        assert index_draws(cfg, 2) < math.ceil(cfg.t_max / 2)
         seeds = tuple(range(10))
         res = run(obj, w, cfg, np.zeros(3), output_seeds=seeds)
         state, iterates, telemetry = step_loop(obj, w, cfg, np.zeros(3))
@@ -738,9 +756,9 @@ class TestChunkedRun:
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_index_draw_per_agent_per_chunk(self, kind, monkeypatch):
         # A structural guard: run calls each agent's integers() once per draw
-        # block, a logistic cheap step copies its rows with one csr_row_index
-        # call, and the step's products (two CSR, one CSC) read that copy in
-        # place.
+        # block that holds a cheap step, a logistic cheap step copies its rows
+        # with one csr_row_index call, and the step's products (two CSR, one
+        # CSC) read that copy in place.
         obj = make_objective(kind, 4, 9, 3, seed=54)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=40, seed=55)
@@ -764,7 +782,7 @@ class TestChunkedRun:
         monkeypatch.setattr(objectives, "csr_matvec", recording("csr", objectives.csr_matvec))
         monkeypatch.setattr(objectives, "csc_matvec", recording("csc", objectives.csc_matvec))
         run(obj, w, cfg, np.zeros(3))
-        assert calls == [math.ceil(cheap_steps(cfg) / block)] * obj.m
+        assert calls == [index_draws(cfg, block)] * obj.m
         assert cheap_steps(cfg) > block
         if kind != "quadratic":
             assert len(copies) == cheap_steps(cfg)
@@ -779,16 +797,16 @@ class TestChunkedRun:
 
     @pytest.mark.parametrize("kind", ["dense", "csr"])
     def test_run_over_several_draw_blocks_is_a_step_loop(self, kind, monkeypatch):
-        # Blocks of 6 steps, at least 3 of them and a short last one.
+        # Blocks of 7 steps, at least 3 of them and a short last one.
         obj = make_objective(kind, 4, 9, 3, seed=56)
         w = make_w(build_ring(4))
         cfg = manual_config(4, b=3, p=0.3, t_max=60, seed=57)
-        block = 6
+        block = 7
         set_block(monkeypatch, obj.m, cfg.b, block)
-        assert cheap_steps(cfg) > 2 * block and cheap_steps(cfg) % block
+        assert cfg.t_max > 2 * block and cfg.t_max % block
         calls = count_draws(monkeypatch, obj.m)
         res = run(obj, w, cfg, np.zeros(3))
-        assert calls == [math.ceil(cheap_steps(cfg) / block)] * obj.m
+        assert calls == [index_draws(cfg, block)] * obj.m
         state, _, telemetry = step_loop(obj, w, cfg, np.zeros(3))
         fs = res.final_state
         for name in ("x", "g", "s"):
@@ -798,7 +816,7 @@ class TestChunkedRun:
 
 
 class TestIndexDraws:
-    """``run`` holds int32 index draws in blocks of a bounded size."""
+    """``run`` holds its flag and int32 index draws in blocks of a bounded size."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1628, 8140, 65537, 2**31 - 1])
     @pytest.mark.parametrize("shape", [(1, 1), (188, 55), (3, 271)])
@@ -813,10 +831,55 @@ class TestIndexDraws:
         np.testing.assert_array_equal(got, want)
         assert [r.bit_generator.state for r in narrow] == [r.bit_generator.state for r in wide]
 
+    @pytest.mark.parametrize("split", [1, 37, 1000])
+    def test_flags_drawn_in_splits_are_one_draw(self, split, monkeypatch):
+        # As for the index draws: a stream's flags drawn ``split`` at a time
+        # are the flags of one draw and leave the stream in the same state.
+        # ``_draws`` called for ``split`` steps at a time, in blocks of 5
+        # steps, gives the flags and indices of one call for all steps.
+        t_max, n, b, p = 1000, 7, 3, 0.3
+        starts = range(0, t_max, split)
+        rng, one = np.random.default_rng(9), np.random.default_rng(9)
+        flags = np.concatenate([rng.random(size=min(split, t_max - s)) for s in starts])
+        np.testing.assert_array_equal(flags, one.random(size=t_max))
+        assert rng.bit_generator.state == one.bit_generator.state
+
+        set_block(monkeypatch, 2, b, 5)
+        split_rngs, one_rngs = ([np.random.default_rng(s) for s in (10, 11, 12)] for _ in range(2))
+        got = [idx for s in starts for idx in optimizer._draws(
+            split_rngs[0], tuple(split_rngs[1:]), n, b, p, min(split, t_max - s))]
+        want = list(optimizer._draws(one_rngs[0], tuple(one_rngs[1:]), n, b, p, t_max))
+        refresh = np.random.default_rng(10).random(size=t_max) < p
+        assert [idx is None for idx in got] == [idx is None for idx in want] == refresh.tolist()
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g.dtype == w.dtype == np.int32
+                np.testing.assert_array_equal(g, w)
+        assert ([r.bit_generator.state for r in split_rngs]
+                == [r.bit_generator.state for r in one_rngs])
+
+    @staticmethod
+    def run_peaks(obj, w, cfgs):
+        """Tracemalloc peak of each config's run, one telemetry row each."""
+        # The first run also makes what later runs reuse: the gossip matrix's
+        # polynomials.
+        x0 = np.zeros(obj.d)
+        run(obj, w, next(iter(cfgs.values())), x0)
+        peaks = {}
+        for t_max, cfg in cfgs.items():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run(obj, w, cfg, x0, telemetry_stride=t_max)
+                peaks[t_max] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        return peaks
+
     def test_run_working_set_does_not_grow_with_t_max(self, monkeypatch):
         # cli-telemetry's shape: 4 agents, b = 271, rows of 14 of 123
-        # features.  A run of 40 steps already fills a draw block, so a run of
-        # ten times the steps holds no more (one telemetry row per run).
+        # features, so a draw block is 37 steps.  A run of 40 steps already
+        # fills a draw block, so a run of ten times the steps holds no more.
         m, n, d, nnz = 4, 500, 123, 14
         rng = np.random.default_rng(61)
         cols = np.sort(rng.random((m * n, d)).argsort(axis=1)[:, :nnz], axis=1)
@@ -824,7 +887,8 @@ class TestIndexDraws:
                                np.arange(0, cols.size + 1, nnz)), shape=(m * n, d))
         labels = np.where(rng.random(m * n) < 0.5, 1.0, -1.0)
         obj = LogisticNCObjective.from_rows(feats, labels, np.arange(m * n).reshape(m, n), 1e-3)
-        w = make_w(build_ring(m))
+        block = optimizer._BLOCK_BYTES // (m * 271 * np.dtype(np.int32).itemsize)
+        assert block == 37
         blocks = []
         real_draw = optimizer._draw
 
@@ -835,21 +899,25 @@ class TestIndexDraws:
         monkeypatch.setattr(optimizer, "_draw", recording_draw)
         cfgs = {t_max: manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=271, p=0.03,
                                      t_max=t_max, seed=62) for t_max in (40, 400)}
-        # The first run also makes what later runs reuse: the objective's step
-        # scratch and the gossip matrix's polynomials.
-        run(obj, w, cfgs[40], np.zeros(d))
-        peaks = {}
-        for t_max, cfg in cfgs.items():
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                run(obj, w, cfg, np.zeros(d), telemetry_stride=t_max)
-                peaks[t_max] = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-        # The 40-step run's first block is as large as any block of the runs.
-        assert blocks[0] == max(blocks) and len(blocks) > 2
+        peaks = self.run_peaks(obj, make_w(build_ring(m)), cfgs)
+        # Each index draw is the cheap steps of one block of 37 steps.
+        assert max(blocks) <= block and len(blocks) > 2
         assert abs(peaks[400] - peaks[40]) < 64 * 1024
+
+    def test_run_peak_does_not_grow_over_two_orders_of_t_max(self, monkeypatch):
+        # Nothing a run holds grows with t_max: neither flags drawn for all
+        # t_max steps up front (9 bytes a step, 176 KiB at 20,000) nor rows
+        # kept for every step.  At 37-step blocks a logistic cheap step's row
+        # copy and the block's index draw peak near 430 KiB and would hide
+        # such an array, so this run, of 4 agents and b = 271, is a
+        # least-squares one with one-step blocks: its steps peak near 65 KiB.
+        m, b = 4, 271
+        obj = make_quadratic(m, 500, 2, 63, q=1)
+        set_block(monkeypatch, m, b, 1)
+        cfgs = {t_max: manual_config(m, eta=1.0 / (2.0 * obj.smoothness), b=b, p=0.03,
+                                     t_max=t_max, seed=64) for t_max in (200, 20_000)}
+        peaks = self.run_peaks(obj, make_w(build_ring(m)), cfgs)
+        assert abs(peaks[20_000] - peaks[200]) < 64 * 1024
 
 
 class TestAgainstReference:
