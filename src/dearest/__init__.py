@@ -8,7 +8,7 @@ telemetry of the estimation, consensus, and Lyapunov diagnostics plus exact
 oracle/communication cost counters.
 """
 
-from .datasets import Partition, SampleSet, parse_libsvm, partition, shard_matrices, write_libsvm
+from .datasets import SampleSet, parse_libsvm, partition, shard_matrices, write_libsvm
 from .metrics import TelemetryRecord, consensus_error
 from .mixing import chebyshev_momentum, fastmix
 from .objectives import (
@@ -53,7 +53,6 @@ __all__ = [
     "Graph",
     "IterateHistory",
     "LogisticNCObjective",
-    "Partition",
     "QuadraticObjective",
     "RunConfig",
     "RunResult",

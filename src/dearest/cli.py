@@ -16,11 +16,12 @@ are errors, not typos to guess around.  Example::
 ``dearest run spec.cfg`` first checks that the output directory can be
 made, then builds the topology once and parses the data file once (scaling
 its rows to unit norm with ``normalize``).  Then for every seed it splits the
-data afresh, gathering each agent's rows straight into the objective's
-stacked matrix, derives the guarantee-based hyperparameters (plus any
-overrides) and runs the optimizer.  Each seed's ``telemetry_<seed>.csv`` is
-written when its run completes; a seed that fails writes nothing of its own,
-and ``summary.csv`` is written only when every seed has succeeded.
+data afresh into an (m, n) index array, gathers each agent's rows straight
+into the objective's stacked matrix, derives the guarantee-based
+hyperparameters (plus any overrides) and runs the optimizer.  Each seed's
+``telemetry_<seed>.csv`` is written when its run completes; a seed that
+fails writes nothing of its own, and ``summary.csv`` is written only when
+every seed has succeeded.
 ``dearest spectra`` prints mixing spectra and ``dearest params`` prints
 derived hyperparameters.
 
@@ -207,6 +208,8 @@ def _validate_spec(spec: ExperimentSpec, path: Path) -> None:
         raise SpecError(f"{path}: need at least 2 agents, got m={spec.m}")
     if spec.epsilon <= 0:
         raise SpecError(f"{path}: epsilon must be > 0, got {spec.epsilon}")
+    if spec.lambda_reg < 0:
+        raise SpecError(f"{path}: lambda must be >= 0, got {spec.lambda_reg}")
     if spec.topology == "file" and spec.graph_file is None:
         raise SpecError(f"{path}: topology=file requires graph_file")
     if spec.graph_file is not None and not spec.graph_file.exists():
@@ -253,8 +256,8 @@ def build_objective(spec: ExperimentSpec, seed: int, samples=None) -> FiniteSumO
     if spec.data is not None:
         if samples is None:
             samples = load_samples(spec)
-        part = partition(samples, spec.m, seed)
-        return LogisticNCObjective.from_rows(samples.features, samples.labels, part.shards,
+        shards = partition(samples, spec.m, seed)
+        return LogisticNCObjective.from_rows(samples.features, samples.labels, shards,
                                              spec.lambda_reg)
     return make_synthetic_logistic(
         spec.m,

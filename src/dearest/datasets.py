@@ -5,7 +5,8 @@ strictly increasing feature indices and finite values.  Labels must be one
 of {0, 1, -1, +1} and are normalized to {-1, +1} ({0, 1} files map 0 to -1).
 A parsed file is one CSR matrix with a row per sample, because dimensions
 can run to tens of thousands.  ``normalize_rows`` scales its rows to unit
-norm; ``shard_matrices`` copies out each agent's rows, and
+norm.  A data split is one (m, n) array of sample indices whose row i holds
+agent i's samples: ``shard_matrices`` copies out each agent's rows, and
 ``LogisticNCObjective.from_rows`` gathers them straight into its stacked
 matrix.
 
@@ -37,9 +38,9 @@ is the line-by-line parser.  It is the one place that writes the
 ``file:line`` messages of malformed files, it parses what the fast path
 refuses conservatively, and tests compare the fast path with it bitwise.
 
-Partitioning shuffles all sample indices with a seeded permutation and deals
-them out as m contiguous blocks of n = floor(N/m); the remainder is dropped
-so every agent holds exactly n samples.
+``partition`` shuffles all sample indices with a seeded permutation and
+reshapes its first m*n, n = floor(N/m), into that (m, n) array; the remainder
+is dropped so every agent holds exactly n samples.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "SampleSet",
-    "Partition",
     "DatasetError",
     "parse_libsvm",
     "write_libsvm",
@@ -77,7 +77,7 @@ _INT64_MAX = 2**63 - 1
 class SampleSet:
     """Sparse samples: a CSR matrix with one row per sample, plus +-1 labels.
 
-    Compared and hashed by identity, as are ``Partition`` and ``GossipMatrix``.
+    Compared and hashed by identity, as is ``GossipMatrix``.
     """
 
     features: sp.csr_matrix
@@ -90,22 +90,6 @@ class SampleSet:
     @property
     def n_samples(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class Partition:
-    """Disjoint per-agent shards of sample indices, each of length n; compared by identity."""
-
-    shards: tuple[np.ndarray, ...]
-    dropped: int
-
-    @property
-    def m(self) -> int:
-        return len(self.shards)
-
-    @property
-    def n(self) -> int:
-        return len(self.shards[0])
 
 
 def parse_libsvm(path: str | Path, d_override: int | None = None) -> SampleSet:
@@ -413,20 +397,17 @@ def write_libsvm(samples: SampleSet, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def partition(samples: SampleSet, m: int, seed: int) -> Partition:
-    """Shuffle sample indices with the seeded RNG and deal m equal shards.
+def partition(samples: SampleSet, m: int, seed: int) -> np.ndarray:
+    """The seeded split of the samples among m agents: an (m, n) index array.
 
-    Shard i receives the i-th contiguous block of n = floor(N/m) shuffled
-    indices; the N - m*n leftovers are dropped.  Deterministic in the seed.
+    Row i is agent i's block of n = floor(N/m) indices from a seeded
+    permutation of all N; the N - m*n leftovers are dropped.  A view, not
+    per-agent copies.  Deterministic in the seed.
     """
     n_total = samples.n_samples
     if m < 1 or n_total < m:
         raise DatasetError(f"cannot split {n_total} samples across {m} agents")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_total)
-    n = n_total // m
-    shards = tuple(perm[i * n : (i + 1) * n].copy() for i in range(m))
-    return Partition(shards=shards, dropped=int(n_total - m * n))
+    return np.random.default_rng(seed).permutation(n_total)[: m * (n_total // m)].reshape(m, -1)
 
 
 def normalize_rows(samples: SampleSet) -> SampleSet:
@@ -447,8 +428,8 @@ def normalize_rows(samples: SampleSet) -> SampleSet:
 
 
 def shard_matrices(
-    samples: SampleSet, part: Partition
+    samples: SampleSet, shards: np.ndarray
 ) -> tuple[list[sp.csr_matrix], list[np.ndarray]]:
-    """Per-agent CSR feature matrices and label vectors, copied from ``samples``."""
-    return ([samples.features[shard] for shard in part.shards],
-            [samples.labels[shard] for shard in part.shards])
+    """Per-agent CSR feature matrices and label vectors of the rows ``shards[i]``, copied."""
+    return ([samples.features[shard] for shard in shards],
+            [samples.labels[shard] for shard in shards])

@@ -42,6 +42,7 @@ __all__ = [
     "TelemetryRecord",
     "CSV_HEADER",
     "consensus_error",
+    "spread",
     "record",
     "format_csv_row",
 ]
@@ -71,11 +72,14 @@ _CSV_FIELDS = tuple(f.name for f in fields(TelemetryRecord))
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
+def spread(rows: np.ndarray) -> float:
+    """Squared Frobenius distance of stacked per-agent rows from their network mean."""
+    return float(np.sum((rows - rows.mean(axis=0)) ** 2))
+
+
 def consensus_error(state: "AggregateState", cfg: "RunConfig") -> float:
     """Squared deviation of iterates and (eta-weighted) trackers from their means."""
-    dev_x = state.x - state.x.mean(axis=0)
-    dev_s = state.s - state.s.mean(axis=0)
-    return float(np.sum(dev_x * dev_x) + cfg.eta**2 * np.sum(dev_s * dev_s))
+    return spread(state.x) + cfg.eta**2 * spread(state.s)
 
 
 def record(

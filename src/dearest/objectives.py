@@ -169,11 +169,11 @@ class LogisticNCObjective(FiniteSumObjective):
     The shards are stored once, at construction, as one block-diagonal CSR
     matrix of shape (m*n, m*d): agent i's rows start at i*n and its columns
     at i*d, so ``x.ravel()`` of stacked iterates meets each agent's rows with
-    its own row of x; ``from_rows`` gathers it from one CSR matrix.
-    ``labels`` are views of one label vector; ``features`` builds per-agent
-    (n, d) CSR copies on each access.  Evaluation is overflow-safe.
-    ``batch_diff`` reuses the regularizer gradient of its last x_new when
-    that array comes back as x_old: do not change it in place.
+    its own row of x.  ``labels`` are views of one label vector; ``features``
+    builds per-agent (n, d) CSR copies on each access.  Evaluation is
+    overflow-safe.  ``batch_diff`` reuses the regularizer gradient of its
+    last x_new when that array comes back as x_old: do not change it in
+    place.
     """
 
     def __init__(
@@ -200,16 +200,17 @@ class LogisticNCObjective(FiniteSumObjective):
         cls,
         features: sp.spmatrix,
         labels: np.ndarray,
-        shards: Sequence[np.ndarray],
+        shards: np.ndarray | Sequence[np.ndarray],
         lambda_reg: float,
     ) -> LogisticNCObjective:
         """Agent i holds rows ``shards[i]`` of the CSR matrix ``features`` and their labels.
 
-        Bitwise the objective that the list constructor builds from the
-        per-agent matrices ``features[shards[i]]``, without them: one
-        ``csr_row_index`` call copies all m*n rows, in shard order, straight
-        into the stacked arrays.  The kernel does not bounds-check, so the
-        shard lengths and row indices are checked first.
+        ``shards`` is an (m, n) index array or m length-n index arrays.
+        Bitwise what the list constructor builds from the per-agent matrices
+        ``features[shards[i]]``, without them: one ``csr_row_index`` call
+        copies all m*n rows, in shard order, straight into the stacked
+        arrays.  The kernel does not bounds-check, so the shard lengths and
+        row indices are checked first.
         """
         features = sp.csr_matrix(features, dtype=float)
         labels = np.asarray(labels, dtype=float).ravel()
@@ -221,14 +222,14 @@ class LogisticNCObjective(FiniteSumObjective):
         n = len(shards[0])
         if any(len(s) != n for s in shards):
             raise ValueError(f"shards must have equal lengths, got {sorted({len(s) for s in shards})}")
-        rows = np.concatenate([np.asarray(s) for s in shards])
+        rows = np.asarray(shards).ravel()
         _check_indices(rows, n_rows, "row")
         row_nnz = np.diff(features.indptr)
         if row_nnz[rows].sum(dtype=np.int64) > np.iinfo(features.indices.dtype).max:
             raise ValueError(f"the shards hold more nonzeros than {features.indices.dtype} can index")
         indptr, indices, data = _copy_rows(features, row_nnz, rows)
         y = labels[rows]
-        del rows, row_nnz  # not held while _store runs
+        del row_nnz  # not held while _store runs
         obj = cls.__new__(cls)
         obj._store(sp.csr_matrix((data, indices, indptr), shape=(y.size, d)), y, len(shards),
                    lambda_reg)

@@ -101,7 +101,7 @@ _FIELDS = {
     "eta": ("real", "stepsize", 0, None),  # eta = 0 freezes the iterates: a diagnostic
     "b": ("count", "mini-batch size", 1, None),
     "p": ("real", "refresh probability", 0, 1),
-    "t_max": ("count", "iteration budget", 0, None),
+    "t_max": ("count", "iteration budget t_max", 1, None),
     "big_k": ("count", "big_k", 0, None),
     "hat_k": ("count", "hat_k", 0, None),
     "k_in": ("count", "initial round count", 0, None),
@@ -175,7 +175,7 @@ def theorem_config(
     """Hyperparameters from the convergence guarantee.
 
     eta = 1/(2L); b = ceil(6 sqrt(n/m)); p = b/(b+n);
-    T = ceil(16 L (f(x0) - f*) / eps^2);
+    T = max(1, ceil(16 L (f(x0) - f*) / eps^2));
     K = ceil(max(12, ln((sqrt(mn)+6)/(24m))) / (2 sqrt(1 - lambda2)));
     K_hat = ceil(6 / sqrt(1 - lambda2));
     K_in = ceil(ln(||g0 - mean||_F^2 / (m eps^2)) / sqrt(1 - lambda2)),
@@ -207,7 +207,7 @@ def theorem_config(
         raise ConfigError(f"initial consensus norm must be >= 0, got {g0_consensus_norm_sq}")
     sqrt_gap = math.sqrt(1.0 - lambda2)
     b = math.ceil(6.0 * math.sqrt(n / m))
-    t_max = math.ceil(16.0 * smoothness * f0_minus_fstar_bound / epsilon**2)
+    t_max = max(1, math.ceil(16.0 * smoothness * f0_minus_fstar_bound / epsilon**2))
     big_k = math.ceil(max(12.0, math.log((math.sqrt(m * n) + 6.0) / (24.0 * m))) / (2.0 * sqrt_gap))
     hat_k = math.ceil(6.0 / sqrt_gap)
     if g0_consensus_norm_sq <= 0.0:
@@ -247,11 +247,10 @@ def derive_config(
     """
     x0_bar = np.asarray(x0_bar, dtype=float)
     g0 = obj.grad_rows(np.tile(x0_bar, (obj.m, 1)))
-    g0_sq = float(np.sum((g0 - g0.mean(axis=0)) ** 2))
     delta0 = obj.global_value(x0_bar) - obj.value_lower_bound
     return theorem_config(
         obj.m, obj.n, obj.smoothness, w.lambda2, epsilon,
-        max(delta0, 0.0), g0_sq, seed=seed,
+        max(delta0, 0.0), _metrics.spread(g0), seed=seed,
     )
 
 

@@ -132,6 +132,16 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=rf"exp.cfg:5: bad value for '{key}': {message}$"):
             load_spec(path)
 
+    def test_zero_iteration_budget_fails_before_set_up(self, tmp_path, monkeypatch):
+        def build_graph(spec):
+            raise AssertionError("the topology was built")
+
+        monkeypatch.setattr(cli, "build_graph", build_graph)
+        path = write_spec(
+            tmp_path, "objective = quadratic\ntopology = ring\nm = 4\nepsilon = 1e-3\nt_max = 0\n")
+        with pytest.raises(SpecError, match=r"exp.cfg:5: bad value for 't_max': .*t_max must be >= 1"):
+            run_experiment(load_spec(path))
+
     def test_agent_seeds_override_must_match_m(self, tmp_path):
         path = write_spec(
             tmp_path,
@@ -315,10 +325,11 @@ class TestDataObjective:
 
     def test_build_objective_peak_memory(self, tmp_path):
         # One seed's objective is built with no per-agent copies of its rows
-        # and no temporary the size of its data, and from_rows releases its
-        # row indices before storing: the peak stays below 1.25 times the
-        # stacked matrix it keeps (1.22 measured; 1.29 with the row indices
-        # held, 2.4 with the copies, 1.41 squaring a whole agent's values).
+        # and no temporary the size of its data: the split is a view of one
+        # permutation, which from_rows reads in place, and from_rows releases
+        # its per-row counts before storing.  The peak stays below 1.25 times
+        # the stacked matrix it keeps (1.22 measured; 2.4 with the copies,
+        # 1.41 squaring a whole agent's values).
         data = write_valued_libsvm(tmp_path / "valued.libsvm", 8000, 123, 14, seed=71)
         spec = logistic_data_spec(tmp_path, data, tmp_path / "out", 123)
         samples = cli.load_samples(spec)
@@ -361,6 +372,20 @@ class TestMain:
         assert main(["run", str(path)]) == 1
         assert "flip_fraction must be in [0, 1], got 1.5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_negative_lambda_exits_1_before_parsing(self, tmp_path, capsys, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "parse_libsvm", lambda *args: parsed.append(args))
+        data = write_valued_libsvm(tmp_path / "valued.libsvm", 20, 5, 2, seed=72)
+        out = tmp_path / "never"
+        path = write_spec(
+            tmp_path,
+            "objective = logistic\ntopology = ring\nm = 4\nepsilon = 1e-3\n"
+            f"data = {data}\nlambda = -1\noutput_dir = {out}\n",
+        )
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: lambda must be >= 0, got -1.0\n"
+        assert parsed == [] and not out.exists()
 
     def test_run_huge_stepsize_reports_divergence(self, tmp_path, capsys):
         # The suite turns numpy's warnings into errors, as ``python -W error``

@@ -155,39 +155,46 @@ class TestPartition:
     def test_even_split(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, synthetic_samples(10)), d_override=6)
         part = partition(samples, 2, seed=0)
-        assert part.m == 2 and part.n == 5 and part.dropped == 0
+        assert part.shape == (2, 5) and samples.n_samples - part.size == 0
 
     def test_a9a_shaped_split(self, tmp_path):
         # 32,561 samples over 20 agents: 1,628 each, 1 dropped, 32,560 used
         samples = parse_libsvm(write(tmp_path, "+1 1:1.0\n" * 32561), d_override=1)
         part = partition(samples, 20, seed=0)
-        assert part.n == 1628
-        assert part.dropped == 1
-        assert sum(len(s) for s in part.shards) == 32560
+        assert part.shape == (20, 1628)
+        assert samples.n_samples - part.size == 1
+
+    @pytest.mark.parametrize("n_total, m", [(12, 4), (37, 4)])
+    def test_one_index_array_of_disjoint_rows(self, tmp_path, n_total, m):
+        # Row i is agent i's block of the seeded permutation, in one array: no per-agent copies.
+        samples = parse_libsvm(write(tmp_path, synthetic_samples(n_total)), d_override=6)
+        part = partition(samples, m, seed=5)
+        n = n_total // m
+        assert isinstance(part, np.ndarray) and part.dtype.kind == "i"
+        assert part.shape == (m, n) and part.flags.c_contiguous and part.base is not None
+        perm = np.random.default_rng(5).permutation(n_total)
+        for i in range(m):
+            np.testing.assert_array_equal(part[i], perm[i * n:(i + 1) * n])
+        assert len(set(part.ravel().tolist())) == m * n
 
     def test_determinism(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, synthetic_samples(37)), d_override=6)
-        p1 = partition(samples, 4, seed=9)
-        p2 = partition(samples, 4, seed=9)
-        for s1, s2 in zip(p1.shards, p2.shards):
-            np.testing.assert_array_equal(s1, s2)
+        np.testing.assert_array_equal(partition(samples, 4, seed=9), partition(samples, 4, seed=9))
 
     def test_shards_are_a_permutation_restriction(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, synthetic_samples(23)), d_override=6)
         part = partition(samples, 3, seed=4)
-        used = np.concatenate(part.shards)
+        used = part.ravel()
         assert len(used) == len(set(used.tolist())) == 21
-        assert part.dropped == 2
+        assert samples.n_samples - part.size == 2
         assert set(used.tolist()) <= set(range(23))
 
-    def test_partitions_and_sample_sets_compare_by_identity(self, tmp_path):
+    def test_sample_sets_compare_by_identity(self, tmp_path):
         path = write(tmp_path, synthetic_samples(10))
-        s1, s2 = parse_libsvm(path, d_override=6), parse_libsvm(path, d_override=6)
-        p1, p2 = partition(s1, 2, seed=0), partition(s1, 2, seed=0)
-        for a, b in ((s1, s2), (p1, p2)):
-            assert a != b and not (a == b)
-            assert a == a
-            assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
+        a, b = parse_libsvm(path, d_override=6), parse_libsvm(path, d_override=6)
+        assert a != b and not (a == b)
+        assert a == a
+        assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
 
     def test_too_few_samples(self, tmp_path):
         samples = parse_libsvm(write(tmp_path, synthetic_samples(3)), d_override=6)
@@ -203,7 +210,7 @@ class TestShardMatrices:
         part = partition(samples, 3, seed=1)
         feats, labels = shard_matrices(samples, part)
         assert len(feats) == 3
-        for shard, f, lab in zip(part.shards, feats, labels):
+        for shard, f, lab in zip(part, feats, labels):
             assert f.shape == (4, 6)
             for row, j in enumerate(shard):
                 np.testing.assert_array_equal(f[row].toarray().ravel(), rows[j])
@@ -224,7 +231,7 @@ class TestShardMatrices:
         rows, _ = rows_from_text(text, 6)
         part = partition(samples, 3, seed=2)
         feats, _ = shard_matrices(normalize_rows(samples), part)
-        for shard, f in zip(part.shards, feats):
+        for shard, f in zip(part, feats):
             for row, j in enumerate(shard):
                 norm = np.linalg.norm(rows[j])
                 expected = rows[j] / norm if norm > 0.0 else rows[j]

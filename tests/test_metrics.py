@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 import dearest
-from dearest.metrics import CSV_HEADER, consensus_error, format_csv_row, record
+from dearest.metrics import CSV_HEADER, consensus_error, format_csv_row, record, spread
 from dearest.mixing import fastmix
 from dearest.objectives import (
     LogisticNCObjective,
@@ -113,6 +113,17 @@ class TestConsensusError:
         state = raw_state(np.zeros((2, 1)), np.zeros((2, 1)), np.array([[1.0], [0.0]]))
         cfg = config(2, eta=0.2)
         assert consensus_error(state, cfg) == pytest.approx(0.04 * 0.5, rel=1e-14)
+
+    def test_bitwise_the_deviation_sums(self):
+        # spread serves derive_config's k_in and every c_t: it must give the
+        # bits of the sums of squared deviations those two wrote out.
+        rng = np.random.default_rng(6)
+        x, s = rng.standard_normal((2, 7, 5))
+        cfg = config(7, eta=0.3)
+        dev_x, dev_s = x - x.mean(axis=0), s - s.mean(axis=0)
+        assert spread(x).hex() == float(np.sum(dev_x * dev_x)).hex()
+        want = float(np.sum(dev_x * dev_x) + cfg.eta**2 * np.sum(dev_s * dev_s))
+        assert consensus_error(raw_state(x, s.copy(), s), cfg).hex() == want.hex()
 
     def test_mixing_contracts_consensus_error(self):
         # Applying k gossip rounds to both blocks shrinks the error by at

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import dearest
 from dearest import objectives
-from dearest.datasets import Partition, SampleSet, normalize_rows, partition, shard_matrices
+from dearest.datasets import SampleSet, normalize_rows, partition, shard_matrices
 from dearest.objectives import (
     FiniteSumObjective,
     LogisticNCObjective,
@@ -702,8 +702,8 @@ class TestFromRows:
         part = partition(samples, m, seed=m)
         src = normalize_rows(samples) if normalize else samples
         ref = LogisticNCObjective(*shard_matrices(src, part), 1e-3)
-        obj = LogisticNCObjective.from_rows(src.features, src.labels, part.shards, 1e-3)
-        assert part.dropped == 31 % m
+        obj = LogisticNCObjective.from_rows(src.features, src.labels, part, 1e-3)
+        assert part.shape == (m, 31 // m)
         assert np.any(np.diff(obj._x.indptr) == 0)
         assert_same_objective(obj, ref)
         rng = np.random.default_rng(61)
@@ -731,7 +731,7 @@ class TestFromRows:
         shards = [np.array(others[:2]), np.array([others[2], row]), np.array(others[3:])]
         for build in (
             lambda: LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4),
-            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0)), 1e-4),
+            lambda: LogisticNCObjective(*shard_matrices(samples, shards), 1e-4),
         ):
             with pytest.raises(ValueError, match="agent 1 features are not finite"):
                 build()
@@ -742,7 +742,7 @@ class TestFromRows:
         shards = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5])]
         for build in (
             lambda: LogisticNCObjective.from_rows(samples.features, samples.labels, shards, 1e-4),
-            lambda: LogisticNCObjective(*shard_matrices(samples, Partition(tuple(shards), 0)), 1e-4),
+            lambda: LogisticNCObjective(*shard_matrices(samples, shards), 1e-4),
         ):
             with pytest.raises(ValueError, match=r"agent 2 labels must be exactly \+1 or -1, got 0.5"):
                 build()

@@ -84,6 +84,10 @@ class TestTheoremConfig:
         cfg = theorem_config(4, 16, 2.0, 0.5, 0.1, 1.5, 0.0)
         assert cfg.t_max == math.ceil(16.0 * 2.0 * 1.5 / 0.01)  # 4800
 
+    def test_zero_gap_derives_one_iteration(self):
+        # f(x0) = f* makes 16 L Delta / eps^2 zero; the output rule needs one iterate.
+        assert theorem_config(4, 16, 1.0, 0.5, 0.1, 0.0, 0.0).t_max == 1
+
     def test_k_in_from_initial_consensus_norm(self):
         m, eps = 4, 0.1
         # arg = e^3 -> k_in = ceil(3 / sqrt(0.25)) = 6
@@ -454,9 +458,8 @@ class TestRun:
     def test_empty_budget_rejected(self):
         obj = make_quadratic(3, 5, 2, seed=11)
         w = make_w(build_ring(3))
-        cfg = manual_config(3, t_max=0)
         with pytest.raises(ConfigError, match="t_max"):
-            run(obj, w, cfg, np.zeros(2))
+            run(obj, w, manual_config(3, t_max=0), np.zeros(2))
 
     def test_deterministic_replay(self):
         obj = make_synthetic_logistic(4, 8, 3, 1e-4, seed=12)
