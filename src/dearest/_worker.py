@@ -5,17 +5,17 @@ two independent passes over the data overlap on a second core.  Each half
 runs exactly the code it would run alone, so results do not depend on the
 overlap.  BLAS threading is left as the environment sets it.
 
-The thread is started on first use, not at import.  A forked child drops the
-pool it inherited (its thread does not exist there) and starts its own.  The
-worker runs in a copy of the caller's context, so ``np.errstate`` applies to
-both halves.
+The module makes one single-thread executor at import.  The executor starts
+its thread on the first ``submit``, not at import, and locks ``submit``
+itself.  A forked child replaces the executor it inherited (whose thread
+does not exist there) with a fresh one.  The worker runs in a copy of the
+caller's context, so ``np.errstate`` applies to both halves.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, TypeVar
 
@@ -24,16 +24,14 @@ __all__ = ["concurrently"]
 A = TypeVar("A")
 B = TypeVar("B")
 
-_pool: ThreadPoolExecutor | None = None
-_lock = threading.Lock()
+
+def _new_pool() -> None:
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dearest-worker")
 
 
-def _forget_pool() -> None:
-    global _pool, _lock
-    _pool, _lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def concurrently(there: Callable[[], A], here: Callable[[], B]) -> tuple[A, B]:
@@ -43,11 +41,7 @@ def concurrently(there: Callable[[], A], here: Callable[[], B]) -> tuple[A, B]:
     call.  An exception in either half reaches the caller unchanged; when
     both raise, ``here``'s does.
     """
-    global _pool
-    with _lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dearest-worker")
-        future = _pool.submit(contextvars.copy_context().run, there)
+    future = _pool.submit(contextvars.copy_context().run, there)
     try:
         mine = here()
     finally:

@@ -77,7 +77,11 @@ class SpecError(ValueError):
     """Malformed experiment spec: names the offending key and line."""
 
 
-Seed = int  # a spec field of this type must be >= 0
+# A spec field of one of these types is range-checked when its line is parsed.
+Seed = int  # >= 0
+Count = int  # >= 1
+Probability = float  # in (0, 1]
+Fraction = float  # in [0, 1]
 
 
 @dataclass
@@ -89,21 +93,21 @@ class ExperimentSpec:
     m: int = 0
     epsilon: float = 0.0
     data: Path | None = None
-    dim: int | None = None
+    dim: Count | None = None
     graph_file: Path | None = None
-    prob: float = 0.15
+    prob: Probability = 0.15
     topology_seed: Seed = 0
     data_seed: Seed = 0
     lambda_reg: float = 1e-4
     normalize: bool = False
-    synthetic_samples: int = 512
-    synthetic_dim: int = 20
-    flip_fraction: float = 0.1
-    n: int = 50
-    d: int = 10
+    synthetic_samples: Count = 512
+    synthetic_dim: Count = 20
+    flip_fraction: Fraction = 0.1
+    n: Count = 50
+    d: Count = 10
     seeds: tuple[Seed, ...] = (0,)
     output_dir: Path = Path("runs")
-    telemetry_stride: int = 1
+    telemetry_stride: Count = 1
     overrides: dict[str, object] = field(default_factory=dict)
 
 
@@ -120,6 +124,27 @@ def _parse_finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _parse_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
+
+
+def _parse_probability(text: str) -> float:
+    value = _parse_finite(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _parse_fraction(text: str) -> float:
+    value = _parse_finite(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -146,7 +171,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 # names ``lambda_reg``.  Every RunConfig field is an override key, parsed by
 # its kind and checked by optimizer._check_field.
 _TYPE_PARSERS: dict[str, Callable[[str], object]] = {
-    "str": str, "int": int, "Seed": _parse_seed, "float": _parse_finite, "bool": _parse_bool,
+    "str": str, "int": int, "Seed": _parse_seed, "Count": _parse_count, "float": _parse_finite,
+    "Probability": _parse_probability, "Fraction": _parse_fraction, "bool": _parse_bool,
     "Path": Path, "tuple[Seed, ...]": _parse_seeds,
 }
 _KIND_PARSERS = {"real": _parse_finite, "count": int, "seed": int, "seeds": _parse_int_list}
@@ -206,6 +232,11 @@ def _validate_spec(spec: ExperimentSpec, path: Path) -> None:
         )
     if spec.m < 2:
         raise SpecError(f"{path}: need at least 2 agents, got m={spec.m}")
+    if spec.topology == "ring" and spec.m < 3:
+        raise SpecError(f"{path}: topology = ring needs m >= 3, got m={spec.m}")
+    if spec.objective == "logistic" and spec.data is None and spec.synthetic_samples < spec.m:
+        raise SpecError(f"{path}: synthetic_samples must be >= m, got "
+                        f"{spec.synthetic_samples} for m={spec.m}")
     if spec.epsilon <= 0:
         raise SpecError(f"{path}: epsilon must be > 0, got {spec.epsilon}")
     if spec.lambda_reg < 0:
@@ -218,8 +249,6 @@ def _validate_spec(spec: ExperimentSpec, path: Path) -> None:
         raise SpecError(f"{path}: data file {spec.data} does not exist")
     if not spec.seeds:
         raise SpecError(f"{path}: seeds list is empty")
-    if spec.telemetry_stride < 1:
-        raise SpecError(f"{path}: telemetry_stride must be >= 1")
     seeds = spec.overrides.get("agent_seeds")
     if seeds is not None and len(seeds) != spec.m:
         raise SpecError(f"{path}: agent_seeds lists {len(seeds)} seeds for m={spec.m} agents")

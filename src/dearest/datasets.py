@@ -10,33 +10,30 @@ agent i's samples: ``shard_matrices`` copies out each agent's rows, and
 ``LogisticNCObjective.from_rows`` gathers them straight into its stacked
 matrix.
 
-``parse_libsvm`` has a fast path and an error path.  The fast path reads the
-file's bytes in blocks of about 256 KiB, each ending at a line end.  Per
-block it builds one table of *fields*, the maximal runs of bytes other than
-space, tab, newline and colon, with whole-array numpy operations, and checks
-the line layout on that table.  Fields of the form ``[+-]?[0-9]{1,18}`` are
-converted with digit arithmetic in int64, which is exact, then cast to
-float64; the remaining values (with ``.``, ``e`` or ``E``, or more digits) go
-through one ``np.fromstring`` call, skipped when there are none.  The output
-arrays are sized up front from the file's colon count.  It accepts a file
-only when all of these hold, and otherwise hands the whole file to
-``_parse_lines``:
+``parse_libsvm`` has a fast path for integer-valued files and an error path.
+The fast path reads the file's bytes in blocks of about 256 KiB, each ending
+at a line end.  Per block it builds one table of *fields*, the maximal runs
+of bytes other than space, tab, newline and colon, with whole-array numpy
+operations, checks the line layout on that table and converts every field
+with digit arithmetic in int64, which is exact, then casts it to float64.
+The output arrays are sized up front from the file's colon count.  It
+accepts a file only when all of these hold, and otherwise hands the whole
+file to ``_parse_lines``:
 
-- every byte is a digit, ``+ - . e E :``, a space, a tab or ``\n`` (so CRLF
-  files, ``nan``/``inf`` and non-ASCII text take the line parser);
+- every byte is a digit, ``+ - :``, a space, a tab or ``\n`` (so CRLF files,
+  float values such as ``0.5`` or ``1e-3``, ``nan``/``inf`` and non-ASCII
+  text take the line parser);
+- every field (label, index and value) is ``[+-]?[0-9]{1,18}``;
 - a line's first field touches no colon, every colon has a field on both
   sides, and no field touches two colons, so the rest of a line pairs up as
   index:value tokens;
-- labels and indices are integers of at most 18 digits (a label such as
-  ``1.0`` takes the line parser);
-- every value converts, and the count of converted values is as expected;
-- values are finite, labels are in {0, +-1}, indices lie in [1, 2**31 - 2],
-  strictly increase within a row and do not exceed ``d_override``.
+- labels are in {0, +-1}, indices lie in [1, 2**31 - 2], strictly increase
+  within a row and do not exceed ``d_override``.
 
 Blank and whitespace-only lines are skipped by both paths.  ``_parse_lines``
 is the line-by-line parser.  It is the one place that writes the
-``file:line`` messages of malformed files, it parses what the fast path
-refuses conservatively, and tests compare the fast path with it bitwise.
+``file:line`` messages of malformed files, it parses every file the fast
+path refuses, and tests compare the fast path with it bitwise.
 
 ``partition`` shuffles all sample indices with a seeded permutation and
 reshapes its first m*n, n = floor(N/m), into that (m, n) array; the remainder
@@ -46,7 +43,6 @@ is dropped so every agent holds exactly n samples.
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,10 +184,10 @@ def _parse_lines(path: Path, raw: bytes, d_override: int | None) -> SampleSet:
 # The fast path's block size in bytes: a block ends at the first line end at
 # or past it.  Blocks bound the fast path's temporaries.
 _BLOCK_BYTES = 1 << 18
-_FAST_BYTES = b"0123456789+-.eE: \t\n"
+_FAST_BYTES = b"0123456789+-: \t\n"
 _MAX_INDEX = 2**31 - 2
-# Integer fields of at most this many digits are converted exactly in int64
-# (10**18 - 1 < 2**63); longer ones go through np.fromstring.
+# Fields of at most this many digits are converted exactly in int64
+# (10**18 - 1 < 2**63); a longer one sends its file to the line parser.
 _MAX_DIGITS = 18
 
 
@@ -251,7 +247,7 @@ def _parse_block(block: bytes) -> tuple[np.ndarray, ...] | None:
     if layout is None:
         return None
     starts, ends, is_value, label_fields, row_nnz = layout
-    numbers = _field_numbers(a, starts, ends, is_value)
+    numbers = _field_numbers(a, starts, ends)
     if numbers is None:
         return None
     labels = numbers[label_fields]
@@ -317,35 +313,26 @@ def _field_layout(a: np.ndarray, n_colons: int) -> tuple[np.ndarray, ...] | None
     return starts, ends, is_value, label_fields, (per_line[rows] - 1) // 2
 
 
-def _field_numbers(
-    a: np.ndarray, starts: np.ndarray, ends: np.ndarray, is_value: np.ndarray
-) -> np.ndarray | None:
-    """Every field's number as float64, or None if one does not convert.
+def _field_numbers(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """Every field's number as float64, or None if a field is not ``[+-]?[0-9]{1,18}``.
 
-    A field of the form ``[+-]?[0-9]{1,18}`` is summed digit by digit from
-    the right in int64, which is exact, and cast to float64, which rounds
-    correctly, so it gets the bits ``float()`` gives it.  The sign is applied
-    after the cast, so ``-0`` is -0.0.  Labels and indices must be of that
-    form; the other values go through one ``np.fromstring`` call on a copy
-    of the block in which every other byte is blanked.
+    Each field is summed digit by digit from the right in int64, which is
+    exact, and cast to float64, which rounds correctly, so it gets the bits
+    ``float()`` gives it.  The sign is applied after the cast, so ``-0`` is
+    -0.0.
     """
     leading = a.take(starts)
     negative = leading == ord("-")
-    digits = ends - starts - (negative | (leading == ord("+")))
-    # A '+', '-', '.', 'e' or 'E' (the allowed bytes between ' ' and '0' or
-    # above ':') other than a sign that opens its field makes it a float.
-    marks = np.flatnonzero(((a > ord(" ")) & (a < ord("0"))) | (a > ord(":")))
-    before, mark = a.take(marks - 1), a.take(marks)
-    opens = (before <= ord(" ")) | (before == ord(":"))
-    stray = marks[~(opens & ((mark == ord("+")) | (mark == ord("-"))))]
-    is_float = (digits < 1) | (digits > _MAX_DIGITS)
-    is_float[np.searchsorted(starts, stray, side="right") - 1] = True
-    if (is_float & ~is_value).any():
+    signed = negative | (leading == ord("+"))
+    digits = ends - starts - signed
+    # Every '+' and '-' in the block must open its field.
+    if (
+        np.count_nonzero(a == ord("+")) + np.count_nonzero(a == ord("-")) != np.count_nonzero(signed)
+        or ((digits < 1) | (digits > _MAX_DIGITS)).any()
+    ):
         return None
     # Sum the digits from the right: every field's units digit, then the
-    # tens digit of fields with two digits or more, and so on.  Float fields
-    # get a stand-in here, which their parsed value replaces below.
-    digits[is_float] = 0
+    # tens digit of fields with two digits or more, and so on.
     whole = a.take(ends - 1).astype(np.int64) - ord("0")
     longer = np.flatnonzero(digits > 1)
     place = 1
@@ -357,29 +344,6 @@ def _field_numbers(
     numbers = whole.astype(np.float64)
     del whole
     np.negative(numbers, out=numbers, where=negative)
-    floats = np.flatnonzero(is_float)
-    if not len(floats):
-        return numbers
-    # Mark each float field's first byte 1 and the byte after it -1; the
-    # running sum is then 1 exactly on the float fields' bytes.
-    inside = np.zeros(len(a), dtype=np.int8)
-    inside[starts[floats]] = 1
-    inside[ends[floats]] = -1
-    np.cumsum(inside, dtype=np.int8, out=inside)
-    text = np.where(inside.view(bool), a, np.uint8(ord(" "))).tobytes()
-    del inside
-    try:
-        # Unmatched text (such as 1-2 or a lone +) raises ValueError on
-        # numpy 2; older numpy warns and stops early, and the count check
-        # below catches that too.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            parsed = np.fromstring(text, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    if len(parsed) != len(floats) or not np.isfinite(parsed).all():
-        return None
-    numbers[floats] = parsed
     return numbers
 
 

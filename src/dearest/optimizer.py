@@ -421,6 +421,11 @@ def step(
     return _advance(state, obj, w, cfg, idx)
 
 
+# The output rule's seeds follow the table's rule for seeds.
+_OUTPUT_SEED = ("seed", "output seed", 0, None)
+_OUTPUT_SEEDS = ("seeds", "output_seeds", 0, None)
+
+
 class IterateHistory:
     """Uniform output draws over all (iteration, agent) pairs of a run.
 
@@ -437,12 +442,13 @@ class IterateHistory:
         self.t_max = t_max
         self._captured: dict[int, np.ndarray] = {}
         self._wanted_by_t: dict[int, list[tuple[int, int]]] = {}
-        for s in dict.fromkeys(int(s) for s in output_seeds):
+        for s in dict.fromkeys(_check_field("output_seeds", output_seeds, _OUTPUT_SEEDS)):
             t, agent = self.pair_for_seed(s)
             self._wanted_by_t.setdefault(t, []).append((s, agent))
 
     def pair_for_seed(self, seed: int) -> tuple[int, int]:
         """(iteration, agent) pair a seed resolves to; uniform over all pairs."""
+        seed = _check_field("output seed", seed, _OUTPUT_SEED)
         flat = int(np.random.default_rng(seed).integers(self.m * self.t_max))
         return flat // self.m, flat % self.m
 
@@ -452,7 +458,7 @@ class IterateHistory:
 
     def draw(self, seed: int) -> np.ndarray:
         """The iterate row selected by this seed's uniform (t, i) draw."""
-        seed = int(seed)
+        seed = int(_check_field("output seed", seed, _OUTPUT_SEED))
         if seed in self._captured:
             return self._captured[seed].copy()
         t, agent = self.pair_for_seed(seed)
@@ -492,7 +498,8 @@ def run(
     """
     if telemetry_stride < 1:
         raise ConfigError(f"telemetry stride must be >= 1, got {telemetry_stride}")
-    history = IterateHistory(obj.m, cfg.t_max, (cfg.output_seed, *output_seeds))
+    # The caller's seeds come first, so that an error names its own index.
+    history = IterateHistory(obj.m, cfg.t_max, (*output_seeds, cfg.output_seed))
     state = init(obj, w, cfg, x0_bar)
     telemetry: list[_metrics.TelemetryRecord] = []
     draws = _draws(state.shared_rng, state.agent_rngs, obj.n, cfg.b, cfg.p, cfg.t_max)

@@ -48,7 +48,12 @@ class GossipMatrixError(ValueError):
     """A matrix violates the gossip-matrix requirements."""
 
 
-def _canonical_edge(i: int, j: int) -> tuple[int, int]:
+def _edge(i: int, j: int, m: int) -> tuple[int, int]:
+    """Edge (i, j) on agents 0..m-1 as its canonical (lo, hi) pair."""
+    if i == j:
+        raise TopologyError(f"self-loop at agent {i}")
+    if not (0 <= i < m and 0 <= j < m):
+        raise TopologyError(f"edge ({i}, {j}) out of range for m={m}")
     return (i, j) if i < j else (j, i)
 
 
@@ -85,14 +90,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise TopologyError(f"agent count must be positive, got {self.m}")
-        canon = set()
-        for i, j in self.edges:
-            if i == j:
-                raise TopologyError(f"self-loop at agent {i}")
-            if not (0 <= i < self.m and 0 <= j < self.m):
-                raise TopologyError(f"edge ({i}, {j}) out of range for m={self.m}")
-            canon.add(_canonical_edge(i, j))
-        object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "edges", frozenset(_edge(i, j, self.m) for i, j in self.edges))
         if not _is_connected(self.m, self.edges):
             raise TopologyError(f"graph on {self.m} agents is not connected")
 
@@ -112,7 +110,7 @@ def build_ring(m: int) -> Graph:
     """Cycle graph: agent i is connected to (i +/- 1) mod m.  Requires m >= 3."""
     if m < 3:
         raise TopologyError(f"ring needs at least 3 agents, got {m}")
-    return Graph(m, frozenset(_canonical_edge(i, (i + 1) % m) for i in range(m)))
+    return Graph(m, frozenset((i, (i + 1) % m) for i in range(m)))
 
 
 def build_complete(m: int) -> Graph:
@@ -180,7 +178,10 @@ def read_graph_file(path: str | Path) -> Graph:
             i, j = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise TopologyError(f"{path}:{lineno}: non-integer edge endpoint in {raw!r}") from None
-        edges.add(_canonical_edge(i, j))
+        try:
+            edges.add(_edge(i, j, m))
+        except TopologyError as exc:
+            raise TopologyError(f"{path}:{lineno}: {exc}") from None
     if m is None:
         raise TopologyError(f"{path}: missing 'm <count>' header")
     return Graph(m, frozenset(edges))

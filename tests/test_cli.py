@@ -142,6 +142,41 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match=r"exp.cfg:5: bad value for 't_max': .*t_max must be >= 1"):
             run_experiment(load_spec(path))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("prob", "0", r"must be in \(0, 1\], got 0.0"),
+        ("flip_fraction", "2", r"must be in \[0, 1\], got 2.0"),
+        ("n", "0", "must be >= 1, got 0"),
+        ("d", "0", "must be >= 1, got 0"),
+        ("dim", "0", "must be >= 1, got 0"),
+        ("synthetic_dim", "-2", "must be >= 1, got -2"),
+        ("synthetic_samples", "0", "must be >= 1, got 0"),
+        ("telemetry_stride", "0", "must be >= 1, got 0"),
+    ])
+    def test_out_of_range_key_names_line_before_set_up(self, tmp_path, monkeypatch, key, value,
+                                                        message):
+        def build_graph(spec):
+            raise AssertionError("the topology was built")
+
+        monkeypatch.setattr(cli, "build_graph", build_graph)
+        path = write_spec(
+            tmp_path, f"objective = logistic\ntopology = ring\nm = 4\nepsilon = 1e-3\n{key} = {value}\n")
+        with pytest.raises(SpecError, match=rf"exp.cfg:5: bad value for '{key}': {message}$"):
+            run_experiment(load_spec(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("objective = quadratic\ntopology = ring\nm = 2\n", r"topology = ring needs m >= 3, got m=2"),
+        ("objective = logistic\ntopology = complete\nm = 4\nsynthetic_samples = 3\n",
+         "synthetic_samples must be >= m, got 3 for m=4"),
+    ], ids=["ring-m", "synthetic-samples"])
+    def test_cross_key_check_names_file_and_key(self, tmp_path, monkeypatch, text, message):
+        def build_graph(spec):
+            raise AssertionError("the topology was built")
+
+        monkeypatch.setattr(cli, "build_graph", build_graph)
+        path = write_spec(tmp_path, text + "epsilon = 1e-3\n")
+        with pytest.raises(SpecError, match=rf"exp.cfg: {message}$"):
+            run_experiment(load_spec(path))
+
     def test_agent_seeds_override_must_match_m(self, tmp_path):
         path = write_spec(
             tmp_path,
@@ -370,7 +405,8 @@ class TestMain:
             f"flip_fraction = 1.5\noutput_dir = {out}\n",
         )
         assert main(["run", str(path)]) == 1
-        assert "flip_fraction must be in [0, 1], got 1.5" in capsys.readouterr().err
+        assert "exp.cfg:5: bad value for 'flip_fraction': must be in [0, 1], got 1.5" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_run_negative_lambda_exits_1_before_parsing(self, tmp_path, capsys, monkeypatch):
@@ -463,6 +499,12 @@ class TestMain:
         assert from_file == capsys.readouterr().out
         assert "lambda2 = 0.75" in from_file.splitlines()
         assert "gap = 0.25" in from_file.splitlines()
+
+    def test_spectra_bad_edge_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        path.write_text("m 3\n0 1\n2 2\n")
+        assert main(["spectra", "file", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: self-loop at agent 2\n"
 
     def test_params_output(self, capsys):
         assert main(["params", "20", "1628", "3.5", "0.9755", "0.05"]) == 0

@@ -1,5 +1,6 @@
 """LIBSVM parsing, emission round-trips, and seeded partitioning."""
 
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -252,18 +253,25 @@ def assert_bitwise_equal(got: SampleSet, want: SampleSet):
     assert got.labels.tobytes() == want.labels.tobytes()
 
 
-# Integers of up to 18 digits are converted exactly by the fast path; longer
-# ones (up to 20 digits, or zero-padded to 19) go through np.fromstring.
+# The fast path converts integer fields of up to 18 digits exactly; a longer
+# one (19 or 20 digits, or zero-padded to 19) sends its file to the line parser.
 INTEGER_TEXTS = st.one_of(
     st.integers(0, 1000).map(str),
-    st.integers(10**15, 10**20 - 1).map(str),
-    st.integers(0, 10**16).map(lambda k: f"{k:019d}"),
-    st.sampled_from(["0", "007", "9007199254740993", "999999999999999999",
-                     "9999999999999999999"]),
+    st.integers(10**15, 10**18 - 1).map(str),
+    st.integers(0, 10**16).map(lambda k: f"{k:018d}"),
+    st.sampled_from(["0", "007", "9007199254740993", "999999999999999999"]),
 )
+LONG_INTEGER_TEXTS = st.one_of(
+    st.integers(10**18, 10**20 - 1).map(str),
+    st.integers(0, 10**16).map(lambda k: f"{k:019d}"),
+    st.just("9999999999999999999"),
+)
+SIGNS = st.sampled_from(["", "+", "-"])
+INTEGER_VALUES = st.tuples(SIGNS, INTEGER_TEXTS).map("".join)
 VALUE_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.tuples(st.sampled_from(["", "+", "-"]), INTEGER_TEXTS).map("".join),
+    INTEGER_VALUES,
+    st.tuples(SIGNS, LONG_INTEGER_TEXTS).map("".join),
     st.integers(0, 999).map(lambda k: f".{k}"),
     st.sampled_from(["1e-3", "2.5E2", "-7e+01", "1E0", "5e-324"]),
 )
@@ -272,9 +280,19 @@ INDEX_FORMATS = st.sampled_from(["{}", "+{}", "00{}", "+0{}"])
 SPACES = st.sampled_from([" ", "  ", "\t", " \t "])
 
 
+def fast_path_fields(text):
+    """Whether every field of ``text`` is one the fast path converts."""
+    return all(re.fullmatch(r"[+-]?[0-9]{1,18}", f) for f in re.split(r"[ \t\r\n:]+", text) if f)
+
+
 @st.composite
 def libsvm_texts(draw):
-    """Valid LIBSVM text and its largest feature index."""
+    """Valid LIBSVM text and its largest feature index.
+
+    Each text's values are all short integers or all drawn from every kind,
+    so that about half of the texts are integer-valued.
+    """
+    values = INTEGER_VALUES if draw(st.booleans()) else VALUE_TEXTS
     lines, max_index = [], 0
     for _ in range(draw(st.integers(0, 25))):
         if draw(st.integers(0, 4)) == 0:
@@ -282,7 +300,7 @@ def libsvm_texts(draw):
             continue
         indices = sorted(draw(st.sets(st.integers(1, 40), max_size=6)))
         tokens = [draw(LABEL_TEXTS)]
-        tokens += [f"{draw(INDEX_FORMATS).format(i)}:{draw(VALUE_TEXTS)}" for i in indices]
+        tokens += [f"{draw(INDEX_FORMATS).format(i)}:{draw(values)}" for i in indices]
         line = draw(st.sampled_from(["", " ", "\t"]))
         for tok in tokens:
             line += tok + draw(SPACES)
@@ -309,14 +327,17 @@ class TestFastPath:
         d_override = None if extra_dims is None else max_index + extra_dims
         path, raw = Path("data.txt"), text.encode()
         with mock.patch.object(datasets, "_BLOCK_BYTES", block_bytes):
-            # Only CRLF files take the slow path here.
-            assert (datasets._parse_blocks(raw, d_override) is None) == ("\r" in text)
+            # CRLF files and files with a field outside [+-]?[0-9]{1,18} take the
+            # slow path.
+            refused = "\r" in text or not fast_path_fields(text)
+            assert (datasets._parse_blocks(raw, d_override) is None) == refused
             got = datasets._parse(path, raw, d_override)
         assert_bitwise_equal(got, datasets._parse_lines(path, raw, d_override))
 
     @pytest.mark.parametrize("text", [
         "", "\n", " \t\n\n", "+1", "-1\n\n\n", "  \t\n+1 2:1", "0\t1:.5  3:1e-3\n",
-        "+1 1:1\r\n-1 2:2.5E2\r\n", "1.0 1:1\n",
+        "+1 1:1\r\n-1 2:2.5E2\r\n", "1.0 1:1\n", "-1 1:-0 2:+7 3:999999999999999999\n",
+        "+1 1:9999999999999999999\n",
     ])
     def test_edge_cases_match_line_parser(self, tmp_path, text):
         path = write(tmp_path, text)
@@ -325,7 +346,8 @@ class TestFastPath:
                 got = parse_libsvm(path, d_override)
             assert_bitwise_equal(got, line_parse(path, d_override))
 
-    def test_write_libsvm_output_takes_fast_path(self, tmp_path):
+    def test_write_libsvm_output_round_trips_bitwise(self, tmp_path):
+        # write_libsvm writes repr floats, so this file takes the line parser.
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((300, 50)) * 10.0 ** rng.uniform(-30, 30, (300, 50))
         dense[rng.random((300, 50)) >= 0.1] = 0.0
@@ -333,10 +355,31 @@ class TestFastPath:
         samples = SampleSet(features, np.where(rng.random(300) < 0.5, 1.0, -1.0))
         path = tmp_path / "real.txt"
         write_libsvm(samples, path)
-        assert datasets._parse_blocks(path.read_bytes(), 50) is not None
         got = parse_libsvm(path, d_override=50)
         assert_bitwise_equal(got, line_parse(path, 50))
         np.testing.assert_array_equal(got.features.data, features.data)
+
+    @pytest.mark.parametrize("text, fast", [
+        ("+1 1:5 7:-3\n-0 2:+0\n", True),
+        ("1 1:999999999999999999\n", True),
+        ("1 1:-000000000000000001\n", True),
+        ("1 1:1000000000000000000\n", False),
+        ("1 1:0000000000000000001\n", False),
+        ("1 1:0.5\n", False),
+        ("1 1:.5\n", False),
+        ("1 1:1e3\n", False),
+        ("1 1:1-2\n", False),
+        ("1 1:+-3\n", False),
+        ("1 1:5+\n", False),
+        ("-+1 1:1\n", False),
+    ])
+    def test_fast_path_takes_only_short_integer_fields(self, text, fast):
+        raw = text.encode()
+        assert fast_path_fields(text) == fast
+        assert (datasets._parse_blocks(raw, None) is not None) == fast
+        if fast:
+            assert_bitwise_equal(datasets._parse_blocks(raw, None),
+                                 datasets._parse_lines(Path("data.txt"), raw, None))
 
     FAULTS = {
         "label-not-numeric": lambda label, toks, last: ("spam", toks),
@@ -355,8 +398,9 @@ class TestFastPath:
         "inf-value": lambda label, toks, last: (label, toks + [f"{last + 1}:inf"]),
         "overflowing-value": lambda label, toks, last: (label, toks + [f"{last + 1}:1e999"]),
         "stray-token": lambda label, toks, last: (label, toks + ["17"]),
-        "sign-inside-value": lambda label, toks, last: (label, toks + ["3:1-2"]),
-        "sign-only-value": lambda label, toks, last: (label, toks + ["3:+"]),
+        "sign-inside-value": lambda label, toks, last: (label, toks + [f"{last + 1}:1-2"]),
+        "sign-only-value": lambda label, toks, last: (label, toks + [f"{last + 1}:+"]),
+        "two-sign-value": lambda label, toks, last: (label, toks + [f"{last + 1}:+-3"]),
         "two-sign-index": lambda label, toks, last: (label, toks + ["+-3:1"]),
         "index-beyond-int64": lambda label, toks, last: (
             label, toks + ["99999999999999999999:1"]),
@@ -365,12 +409,18 @@ class TestFastPath:
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_corruption_raises_line_parser_message(self, tmp_path, fault):
+        # Float-valued rows take the line parser; integer-valued rows reach the
+        # fast path, which must refuse the fault.
         rng = np.random.default_rng(sorted(self.FAULTS).index(fault))
+        for value in (lambda: repr(rng.standard_normal()), lambda: str(rng.integers(-99, 100))):
+            self.check_fault_messages(tmp_path, fault, rng, value)
+
+    def check_fault_messages(self, tmp_path, fault, rng, value):
         rows = []
         for _ in range(120):
             idx = np.sort(rng.choice(20, size=int(rng.integers(0, 5)), replace=False)) + 1
             rows.append(("+1" if rng.random() < 0.5 else "-1",
-                         [f"{i}:{rng.standard_normal()!r}" for i in idx],
+                         [f"{i}:{value()}" for i in idx],
                          int(idx[-1]) if len(idx) else 0))
         path = tmp_path / "data.txt"
         for target in (0, int(rng.integers(1, 119)), 119):

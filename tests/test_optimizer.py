@@ -624,6 +624,24 @@ class TestIterateHistory:
         early = next(s for s in seeds if hist.pair_for_seed(s)[0] == 0)
         np.testing.assert_array_equal(hist.draw(early), np.zeros(2))
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "must be an integer, got 1.5"),
+        (True, "must be an integer, got True"),
+        ("7", "must be an integer, got '7'"),
+        (-1, "must be >= 0, got -1"),
+    ])
+    def test_output_seeds_follow_the_seed_rule(self, seed, message):
+        with pytest.raises(ConfigError, match=r"output_seeds\[1\] " + message):
+            IterateHistory(2, 5, (3, seed))
+        hist = IterateHistory(2, 5, (3,))
+        for method in (hist.draw, hist.pair_for_seed):
+            with pytest.raises(ConfigError, match="output seed " + message):
+                method(seed)
+        obj = make_quadratic(2, 4, 2, seed=1)
+        cfg = manual_config(2, t_max=5)
+        with pytest.raises(ConfigError, match=r"output_seeds\[0\] " + message):
+            run(obj, make_w(build_complete(2)), cfg, np.zeros(2), output_seeds=(seed,))
+
 
 KINDS = ["dense", "csr", "quadratic"]
 

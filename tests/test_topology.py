@@ -163,6 +163,17 @@ class TestGraphFile:
         with pytest.raises(TopologyError, match="g.txt:3"):
             read_graph_file(path)
 
+    @pytest.mark.parametrize("edge, message", [
+        ("2 2", "self-loop at agent 2"),
+        ("1 5", r"edge \(1, 5\) out of range for m=3"),
+        ("-1 0", r"edge \(-1, 0\) out of range for m=3"),
+    ])
+    def test_bad_edge_names_its_line(self, tmp_path, edge, message):
+        path = tmp_path / "g.txt"
+        path.write_text(f"m 3\n0 1\n\n{edge}\n1 2\n")
+        with pytest.raises(TopologyError, match=rf"g.txt:4: {message}$"):
+            read_graph_file(path)
+
     def test_non_utf8_bytes_name_file_and_offset(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_bytes(b"m 3\n0 1 # \xff\n")
